@@ -23,22 +23,23 @@
 //	-trace FILE     write sampled per-session trace records to FILE
 //	-trace-format F trace encoding: jsonl (JSON Lines) or colf (columnar
 //	                binary; decode with the colf2json subcommand)
-//	-spill MODE     trace encoding path: shard (per-shard parallel segment
-//	                encoding, stitched in shard order) or central (serial
-//	                encoding on the reduce goroutine)
 //	-metrics FILE   write population histograms and counters (CSV)
 //	-stats          wall-clock UEs/sec and event counts on stderr
 //
-// Invalid knob values (-ues 0, negative -shards, a non-positive or
-// non-finite -window/-session) fail fast with exit status 2 before any
-// shard starts; the same inputs are rejected by fleet.Config.Validate, so
-// the library and fgservd refuse them identically.
+// fgfleet is a thin adapter over the scenario runner that fgservd serves
+// from: the flags become a fleet serve.Scenario, which is validated and
+// run by serve.Run. Its stdout and artifacts are therefore the bytes
+// fgservd returns for the same scenario. Invalid knob values (-ues 0,
+// negative -shards, a non-positive or non-finite -window/-session, an
+// unknown -mix) fail fast with exit status 2 before any artifact file is
+// created or shard started.
 //
-// The trace artifact streams to FILE as campaigns merge, so trace memory
-// is bounded regardless of -ues. The fleet determinism contract applies:
-// stdout and both artifacts are byte-identical for any -shards value,
-// including 1, in both formats, both modes, and both -spill paths. Only
-// -stats output (wall-clock) varies between runs.
+// Each campaign's shards encode their own trace segments in parallel and
+// the segments stream to FILE in shard order as campaigns merge, so trace
+// memory is bounded regardless of -ues. The fleet determinism contract
+// applies: stdout and both artifacts are byte-identical for any -shards
+// value, including 1, in both formats and both modes. Only -stats output
+// (wall-clock) varies between runs.
 package main
 
 import (
@@ -49,15 +50,10 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"fivegsim/internal/experiments"
+	"fivegsim/internal/cli"
 	"fivegsim/internal/fleet"
-	"fivegsim/internal/obs"
-	"fivegsim/internal/obs/colf"
+	"fivegsim/internal/serve"
 )
-
-// spillRecords is the tracer's bounded-buffer capacity when streaming the
-// trace artifact to disk: one colf block's worth of records.
-const spillRecords = colf.DefaultBlockRecords
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
@@ -79,7 +75,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	stream := fs.Bool("stream", false, "stream mode: O(shards) campaign memory, sketch-based percentiles")
 	traceOut := fs.String("trace", "", "write sampled per-session trace records to this file")
 	traceFormat := fs.String("trace-format", "jsonl", "trace encoding: jsonl or colf")
-	spillMode := fs.String("spill", "shard", "trace encoding path: shard (parallel) or central (serial)")
 	metricsOut := fs.String("metrics", "", "write population histograms and counters (CSV) to this file")
 	stats := fs.Bool("stats", false, "print wall-clock UEs/sec and event counts to stderr")
 	if err := fs.Parse(args); err != nil {
@@ -88,177 +83,58 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	if fs.NArg() > 0 {
 		if fs.Arg(0) == "colf2json" {
-			return colf2json("fgfleet", fs.Args()[1:], stdin, stdout, stderr)
+			return cli.Colf2JSON("fgfleet", fs.Args()[1:], stdin, stdout, stderr)
 		}
 		fmt.Fprintf(stderr, "fgfleet: unknown argument %q (the only subcommand is colf2json)\n", fs.Arg(0))
 		return 2
 	}
+	// Scenario.Validate checks the format too; checking the flag first
+	// makes the message name it.
 	if *traceFormat != "jsonl" && *traceFormat != "colf" {
 		fmt.Fprintf(stderr, "fgfleet: -trace-format must be jsonl or colf, got %q\n", *traceFormat)
 		return 2
 	}
-	if *spillMode != "shard" && *spillMode != "central" {
-		fmt.Fprintf(stderr, "fgfleet: -spill must be shard or central, got %q\n", *spillMode)
-		return 2
-	}
 
-	mixes := fleet.AllMixes
-	if *mixName != "all" {
-		m, err := fleet.MixByName(*mixName)
-		if err != nil {
-			fmt.Fprintln(stderr, "fgfleet:", err)
-			return 2
-		}
-		mixes = []fleet.Mix{m}
-	}
-
-	// Fail fast on bad campaign knobs — before any file is created or shard
-	// started. The knobs are mix-independent, so validating one mix covers
-	// them all; fleet.Run revalidates, so the library rejects the same
-	// inputs when driven directly.
-	baseCfg := func(mix fleet.Mix) fleet.Config {
-		return fleet.Config{
-			Seed:     *seed,
+	sc := &serve.Scenario{
+		Kind:        "fleet",
+		Seed:        seed,
+		TraceFormat: *traceFormat,
+		Fleet: &serve.FleetScenario{
 			UEs:      *ues,
 			Shards:   *shards,
-			Mix:      mix,
+			Mix:      *mixName,
 			WindowS:  *window,
 			SessionS: *session,
 			Stream:   *stream,
-		}
+		},
 	}
-	if err := baseCfg(mixes[0]).Validate(); err != nil {
+	if err := sc.Validate(); err != nil {
 		fmt.Fprintln(stderr, "fgfleet:", err)
 		return 2
 	}
-
-	var root *obs.Obs
-	if *traceOut != "" || *metricsOut != "" {
-		root = obs.New()
-	}
-
-	// Open the trace artifact up front and stream records into it as each
-	// campaign completes. In shard mode each campaign's shards encode their
-	// own trace segments in parallel and fleet.Run stitches them (fleet
-	// Spill); in central mode the root tracer spills full buffers through
-	// one serial encoder. Both paths produce identical bytes; both keep
-	// trace memory bounded regardless of -ues. finishTrace drains the tail
-	// and closes the file.
-	finishTrace := func() error { return nil }
-	var spill *fleet.Spill
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(stderr, "fgfleet:", err)
-			return 1
-		}
-		closeTrace := func(err error) error {
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fmt.Errorf("writing %s: %w", *traceOut, err)
-			}
-			return nil
-		}
-		if *spillMode == "shard" {
-			if *traceFormat == "colf" {
-				spill = fleet.NewColfSpill(f, "fleet")
-			} else {
-				spill = fleet.NewJSONLSpill(f, "fleet")
-			}
-			finishTrace = func() error { return closeTrace(spill.Close()) }
-		} else {
-			var sink obs.RecordSink
-			var closeSink func() error
-			if *traceFormat == "colf" {
-				cw := colf.NewWriter(f)
-				sink = cw.Sink("fleet")
-				closeSink = cw.Close
-			} else {
-				jw := obs.NewTraceJSONWriter(f, "fleet")
-				sink = jw
-				closeSink = jw.Flush
-			}
-			root.Trace().SpillTo(sink, spillRecords)
-			finishTrace = func() error {
-				err := root.Trace().FlushSpill()
-				if err == nil {
-					err = closeSink()
-				}
-				return closeTrace(err)
-			}
-		}
-	}
-
-	type campaign struct {
-		res  *fleet.Result
-		wall time.Duration
-	}
-	runs := make([]campaign, 0, len(mixes))
-	rs := make([]*fleet.Result, 0, len(mixes))
-	for _, mix := range mixes {
-		sub := obs.Sub(root)
-		cfg := baseCfg(mix)
-		cfg.Obs = sub
-		if spill != nil {
-			cfg.Spill = spill
-			cfg.SpillTags = []obs.Field{obs.S("mix", mix.String())}
-		}
-		start := time.Now()
-		r, err := fleet.Run(cfg)
-		if err != nil {
-			fmt.Fprintln(stderr, "fgfleet:", err)
-			return 1
-		}
-		wall := time.Since(start)
-		root.MergeTagged(sub, obs.S("mix", mix.String()))
-		runs = append(runs, campaign{res: r, wall: wall})
-		rs = append(rs, r)
-	}
-
-	var table fmt.Stringer
-	if *stream {
-		table = experiments.FleetStreamTable(rs)
-	} else {
-		table = experiments.FleetTable(rs)
-	}
-	if _, err := fmt.Fprintln(stdout, table); err != nil {
-		// A stdout write error (closed pipe, full disk) must fail the run:
-		// a truncated table must never look like a successful one.
-		fmt.Fprintln(stderr, "fgfleet: writing table:", err)
-		return 1
-	}
-
-	if err := finishTrace(); err != nil {
+	rep, err := cli.RunScenario(sc, 0, stdout, *traceOut, *metricsOut)
+	if err != nil {
 		fmt.Fprintln(stderr, "fgfleet:", err)
 		return 1
 	}
-	if *metricsOut != "" {
-		err := writeArtifact(*metricsOut, func(f *os.File) error {
-			return obs.WriteMetricsCSV(f, "fleet", root.Meter())
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "fgfleet:", err)
-			return 1
-		}
-	}
+
 	if *stats {
 		w := tabwriter.NewWriter(stderr, 2, 0, 2, ' ', 0)
 		fmt.Fprintln(w, "mix\tues\twall\tUEs/s\tevents")
+		var total int
 		var events uint64
 		var wall time.Duration
-		for _, c := range runs {
-			events += c.res.Events
-			wall += c.wall
-			n := campaignUEs(c.res)
+		for _, c := range rep.Campaigns {
+			n := campaignUEs(c.Result)
+			total += n
+			events += c.Result.Events
+			wall += c.Wall
 			fmt.Fprintf(w, "%s\t%d\t%v\t%.0f\t%d\n",
-				c.res.Cfg.Mix, n, c.wall.Round(time.Millisecond),
-				float64(n)/c.wall.Seconds(), c.res.Events)
+				c.Result.Cfg.Mix, n, c.Wall.Round(time.Millisecond),
+				float64(n)/c.Wall.Seconds(), c.Result.Events)
 		}
 		fmt.Fprintf(w, "total\t%d\t%v\t%.0f\t%d\n",
-			len(mixes)**ues, wall.Round(time.Millisecond),
-			float64(len(mixes)**ues)/wall.Seconds(), events)
+			total, wall.Round(time.Millisecond), float64(total)/wall.Seconds(), events)
 		if err := w.Flush(); err != nil {
 			fmt.Fprintln(stderr, "fgfleet:", err)
 		}
@@ -273,56 +149,4 @@ func campaignUEs(r *fleet.Result) int {
 		return int(r.Stream.UEs())
 	}
 	return len(r.UEs)
-}
-
-// colf2json decodes a colf trace artifact back to JSON Lines on stdout:
-// byte-identical to what the jsonl trace format would have written for the
-// same records. "-" (or no argument) reads stdin. The input file's close
-// error is checked explicitly — the old deferred Close was silently skipped
-// by os.Exit on every path.
-func colf2json(prog string, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	if len(args) > 1 {
-		fmt.Fprintf(stderr, "usage: %s colf2json [file.colf]  (\"-\" or no argument reads stdin)\n", prog)
-		return 2
-	}
-	in := stdin
-	var src *os.File
-	if len(args) == 1 && args[0] != "-" {
-		f, err := os.Open(args[0])
-		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", prog, err)
-			return 1
-		}
-		src = f
-		in = f
-	}
-	err := colf.DecodeToJSON(in, stdout)
-	if src != nil {
-		if cerr := src.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
-		return 1
-	}
-	return 0
-}
-
-// writeArtifact creates path and streams one artifact into it, reporting
-// any create, write, or close error (a truncated artifact must never look
-// like a successful one).
-func writeArtifact(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("closing %s: %w", path, err)
-	}
-	return nil
 }

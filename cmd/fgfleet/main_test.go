@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fivegsim/internal/serve"
 )
 
 // runCLI drives the full CLI in-process and captures its streams.
@@ -32,7 +35,6 @@ func TestFlagValidation(t *testing.T) {
 		{"window nan", []string{"-window", "NaN"}, "WindowS"},
 		{"unknown mix", []string{"-mix", "nope"}, "unknown mix"},
 		{"bad trace format", []string{"-trace-format", "xml"}, "-trace-format"},
-		{"bad spill mode", []string{"-spill", "sideways"}, "-spill"},
 		{"unknown arg", []string{"frobnicate"}, "unknown argument"},
 		{"undefined flag", []string{"-frobnicate"}, "frobnicate"},
 	}
@@ -125,5 +127,70 @@ func TestColf2JSON(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, "", "colf2json", "a", "b"); code != 2 {
 		t.Errorf("colf2json two args exit = %d, want 2", code)
+	}
+}
+
+// TestMatchesServedBytes: stdout and the -trace/-metrics files equal the
+// artifacts serve.RunScenario streams for the equivalent scenario, in both
+// trace formats and both campaign modes — this guards the flag→Scenario
+// mapping.
+func TestMatchesServedBytes(t *testing.T) {
+	seed := int64(5)
+	cases := []struct {
+		name string
+		args []string
+		sc   serve.FleetScenario
+		fmt  string
+	}{
+		{"jsonl exact all mixes",
+			[]string{"-ues", "61", "-window", "20", "-session", "8"},
+			serve.FleetScenario{UEs: 61, WindowS: 20, SessionS: 8}, ""},
+		{"colf exact one mix",
+			[]string{"-ues", "47", "-mix", "mixed", "-shards", "3", "-window", "15", "-session", "6", "-trace-format", "colf"},
+			serve.FleetScenario{UEs: 47, Mix: "mixed", Shards: 3, WindowS: 15, SessionS: 6}, "colf"},
+		{"jsonl stream one mix",
+			[]string{"-ues", "53", "-mix", "low-band", "-shards", "2", "-window", "25", "-session", "7", "-stream"},
+			serve.FleetScenario{UEs: 53, Mix: "low-band", Shards: 2, WindowS: 25, SessionS: 7, Stream: true}, ""},
+		{"colf stream all mixes",
+			[]string{"-ues", "41", "-window", "20", "-session", "8", "-stream", "-trace-format", "colf"},
+			serve.FleetScenario{UEs: 41, WindowS: 20, SessionS: 8, Stream: true}, "colf"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tracePath := filepath.Join(dir, "trace")
+			metricsPath := filepath.Join(dir, "metrics.csv")
+			args := append([]string{"-seed", "5", "-trace", tracePath, "-metrics", metricsPath}, tc.args...)
+			code, stdout, stderr := runCLI(t, "", args...)
+			if code != 0 {
+				t.Fatalf("exit = %d (stderr: %s)", code, stderr)
+			}
+			got := map[string]string{serve.ArtifactTable: stdout}
+			for artifact, path := range map[string]string{serve.ArtifactTrace: tracePath, serve.ArtifactMetrics: metricsPath} {
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[artifact] = string(b)
+			}
+			for _, artifact := range []string{serve.ArtifactTable, serve.ArtifactTrace, serve.ArtifactMetrics} {
+				f := tc.sc
+				sc := &serve.Scenario{Kind: "fleet", Seed: &seed, Artifact: artifact, TraceFormat: tc.fmt, Fleet: &f}
+				if err := sc.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				var want bytes.Buffer
+				if err := serve.RunScenario(context.Background(), sc, &want); err != nil {
+					t.Fatal(err)
+				}
+				if want.Len() == 0 {
+					t.Errorf("served %s artifact is empty", artifact)
+				}
+				if got[artifact] != want.String() {
+					t.Errorf("%s: CLI wrote %d bytes, service %d bytes, and they differ",
+						artifact, len(got[artifact]), want.Len())
+				}
+			}
+		})
 	}
 }

@@ -20,8 +20,13 @@
 //	                binary; decode with the colf2json subcommand)
 //	-metrics FILE   write the metrics snapshot (CSV) to FILE
 //
-// Invalid flag values (negative -parallel, an unknown -trace-format) fail
-// fast with exit status 2 before any experiment runs.
+// fgrepro is a thin adapter over the scenario runner that fgservd serves
+// from: the flags become a battery serve.Scenario, which is validated and
+// run by serve.Run. Its stdout and artifacts are therefore the bytes
+// fgservd returns for the same scenario. Invalid flag values (negative
+// -parallel, an unknown -trace-format, an unknown experiment id) fail fast
+// with exit status 2 before any experiment runs or artifact file is
+// created.
 //
 // Output is byte-identical for any -parallel value: experiments fan out
 // over a worker pool but are reassembled in sorted id order, and every
@@ -40,9 +45,9 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"fivegsim/internal/cli"
 	"fivegsim/internal/experiments"
-	"fivegsim/internal/obs"
-	"fivegsim/internal/obs/colf"
+	"fivegsim/internal/serve"
 )
 
 func main() {
@@ -79,6 +84,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err := fs.Parse(sub[1:]); err != nil {
 		return 2
 	}
+	// Scenario.Validate checks the format too; checking the flag first
+	// makes the message name it.
 	if *traceFormat != "jsonl" && *traceFormat != "colf" {
 		fmt.Fprintf(stderr, "fgrepro: -trace-format must be jsonl or colf, got %q\n", *traceFormat)
 		return 2
@@ -87,13 +94,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "fgrepro: -parallel must be >= 0 (0 = GOMAXPROCS), got %d\n", *parallel)
 		return 2
 	}
-	cfg := experiments.Config{Seed: *seed, Quick: *quick}
-	if *traceOut != "" || *metricsOut != "" {
-		// A non-nil collector tells RunMany to hand every experiment its
-		// own registry; the instrumented subsystems then record into it.
-		cfg.Obs = obs.New()
-	}
 	rest := fs.Args()
+	var ids []string // nil: every experiment (`all`)
 	switch sub[0] {
 	case "list":
 		for _, id := range experiments.IDs() {
@@ -101,100 +103,41 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		return 0
 	case "all":
-		return runBattery(cfg, experiments.IDs(), *parallel, *stats, *traceOut, *traceFormat, *metricsOut, stdout, stderr)
 	case "run":
 		if len(rest) == 0 {
 			fmt.Fprintln(stderr, "fgrepro run: need at least one experiment id")
 			return 2
 		}
-		return runBattery(cfg, rest, *parallel, *stats, *traceOut, *traceFormat, *metricsOut, stdout, stderr)
+		ids = rest
 	case "colf2json":
-		return colf2json(rest, stdin, stdout, stderr)
+		return cli.Colf2JSON("fgrepro", rest, stdin, stdout, stderr)
 	default:
 		usage(stderr)
 		return 2
 	}
-}
 
-// colf2json decodes a colf trace artifact back to JSON Lines on stdout:
-// byte-identical to what -trace-format=jsonl would have written for the
-// same records. "-" (or no argument) reads stdin. The input file's close
-// error is checked explicitly — the old deferred Close was silently skipped
-// by os.Exit on every path.
-func colf2json(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	if len(args) > 1 {
-		fmt.Fprintln(stderr, `usage: fgrepro colf2json [file.colf]  ("-" or no argument reads stdin)`)
+	sc := &serve.Scenario{
+		Kind:        "battery",
+		Seed:        seed,
+		Quick:       *quick,
+		TraceFormat: *traceFormat,
+		Experiments: ids,
+	}
+	if err := sc.Validate(); err != nil {
+		fmt.Fprintln(stderr, "fgrepro:", err)
 		return 2
 	}
-	in := stdin
-	var src *os.File
-	if len(args) == 1 && args[0] != "-" {
-		f, err := os.Open(args[0])
-		if err != nil {
-			fmt.Fprintln(stderr, "fgrepro:", err)
-			return 1
-		}
-		src = f
-		in = f
-	}
-	err := colf.DecodeToJSON(in, stdout)
-	if src != nil {
-		if cerr := src.Close(); err == nil {
-			err = cerr
-		}
-	}
+	rep, err := cli.RunScenario(sc, *parallel, stdout, *traceOut, *metricsOut)
 	if err != nil {
 		fmt.Fprintln(stderr, "fgrepro:", err)
 		return 1
 	}
-	return 0
-}
 
-// runBattery executes ids over the worker pool and prints the tables in
-// input order, optionally followed by a per-experiment campaign summary and
-// the trace/metrics artifacts.
-func runBattery(cfg experiments.Config, ids []string, workers int, stats bool, traceOut, traceFormat, metricsOut string, stdout, stderr io.Writer) int {
-	results, err := experiments.RunMany(cfg, ids, workers)
-	if err != nil {
-		fmt.Fprintln(stderr, "fgrepro:", err)
-		return 1
-	}
-	for _, r := range results {
-		for _, t := range r.Tables {
-			if _, err := fmt.Fprintln(stdout, t); err != nil {
-				// A stdout write error (closed pipe, full disk) must fail
-				// the run: a truncated table must never look complete.
-				fmt.Fprintln(stderr, "fgrepro: writing table:", err)
-				return 1
-			}
-		}
-	}
-	if traceOut != "" {
-		err := writeArtifact(traceOut, func(f *os.File) error {
-			if traceFormat == "colf" {
-				return experiments.WriteTraceColf(f, results)
-			}
-			return experiments.WriteTrace(f, results)
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "fgrepro:", err)
-			return 1
-		}
-	}
-	if metricsOut != "" {
-		err := writeArtifact(metricsOut, func(f *os.File) error {
-			return experiments.WriteMetrics(f, results)
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "fgrepro:", err)
-			return 1
-		}
-	}
-	if stats {
+	if *stats {
 		w := tabwriter.NewWriter(stderr, 2, 0, 2, ' ', 0)
 		fmt.Fprintln(w, "experiment\twall\tevents")
 		var events uint64
-		for _, r := range results {
+		for _, r := range rep.Results {
 			events += r.Events
 			fmt.Fprintf(w, "%s\t%v\t%d\n", r.ID, r.Wall.Round(10*time.Microsecond), r.Events)
 		}
@@ -204,24 +147,6 @@ func runBattery(cfg experiments.Config, ids []string, workers int, stats bool, t
 		}
 	}
 	return 0
-}
-
-// writeArtifact creates path and streams one artifact into it, reporting
-// any create, write, or close error (a truncated artifact must never look
-// like a successful one).
-func writeArtifact(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("closing %s: %w", path, err)
-	}
-	return nil
 }
 
 func usage(w io.Writer) {

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fivegsim/internal/serve"
 )
 
 // runCLI drives the full CLI in-process and captures its streams.
@@ -30,6 +33,7 @@ func TestUsageErrors(t *testing.T) {
 		{"bad trace format", []string{"-trace-format", "xml", "all"}, "-trace-format"},
 		{"bad trace format after subcommand", []string{"all", "-trace-format", "xml"}, "-trace-format"},
 		{"undefined flag", []string{"-frobnicate", "all"}, "frobnicate"},
+		{"unknown experiment", []string{"run", "table7", "nope"}, "unknown experiment"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -129,5 +133,70 @@ func TestArtifacts(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, "", "colf2json", "a", "b"); code != 2 {
 		t.Errorf("colf2json two args exit = %d, want 2", code)
+	}
+}
+
+// TestUnknownExperimentCreatesNothing: an unknown id is rejected before any
+// artifact file is created.
+func TestUnknownExperimentCreatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "t.jsonl")
+	metricsPath := filepath.Join(dir, "m.csv")
+	code, _, stderr := runCLI(t, "", "-trace", tracePath, "-metrics", metricsPath, "run", "nope")
+	if code != 2 {
+		t.Fatalf("exit = %d, want 2 (stderr: %s)", code, stderr)
+	}
+	for _, path := range []string{tracePath, metricsPath} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s was created despite the unknown id (stat err: %v)", path, err)
+		}
+	}
+}
+
+// TestMatchesServedBytes: stdout and the -trace/-metrics files equal the
+// artifacts serve.RunScenario streams for the equivalent scenario, in both
+// trace formats — this guards the flag→Scenario mapping. table2 and fig8
+// ride along with fig11 and table7 so the trace artifact is not empty.
+func TestMatchesServedBytes(t *testing.T) {
+	seed := int64(3)
+	ids := []string{"fig11", "table7", "table2", "fig8"}
+	for _, format := range []string{"jsonl", "colf"} {
+		t.Run(format, func(t *testing.T) {
+			dir := t.TempDir()
+			tracePath := filepath.Join(dir, "trace")
+			metricsPath := filepath.Join(dir, "metrics.csv")
+			args := append([]string{"-quick", "-seed", "3", "-parallel", "2", "-trace-format", format,
+				"-trace", tracePath, "-metrics", metricsPath, "run"}, ids...)
+			code, stdout, stderr := runCLI(t, "", args...)
+			if code != 0 {
+				t.Fatalf("exit = %d (stderr: %s)", code, stderr)
+			}
+			got := map[string]string{serve.ArtifactTable: stdout}
+			for artifact, path := range map[string]string{serve.ArtifactTrace: tracePath, serve.ArtifactMetrics: metricsPath} {
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[artifact] = string(b)
+			}
+			for _, artifact := range []string{serve.ArtifactTable, serve.ArtifactTrace, serve.ArtifactMetrics} {
+				sc := &serve.Scenario{Kind: "battery", Seed: &seed, Quick: true,
+					Artifact: artifact, TraceFormat: format, Experiments: ids}
+				if err := sc.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				var want bytes.Buffer
+				if err := serve.RunScenario(context.Background(), sc, &want); err != nil {
+					t.Fatal(err)
+				}
+				if want.Len() == 0 {
+					t.Errorf("served %s artifact is empty", artifact)
+				}
+				if got[artifact] != want.String() {
+					t.Errorf("%s: CLI wrote %d bytes, service %d bytes, and they differ",
+						artifact, len(got[artifact]), want.Len())
+				}
+			}
+		})
 	}
 }

@@ -13,8 +13,9 @@ import (
 // an artifact writer, with the record encoding done by the shards in
 // parallel instead of by the serial reduce.
 //
-// The central pipeline (Config.Obs plus Tracer.SpillTo) encodes every
-// record on the reduce goroutine after the shards join. With a Spill, each
+// The central pipeline (Config.Obs plus Tracer.SpillTo), kept as the
+// reference the spill tests compare against, encodes every record on the
+// reduce goroutine after the shards join. With a Spill, each
 // shard encodes its own slice of the record stream concurrently with the
 // other shards' simulation work, and Run stitches the segments together in
 // shard order. The stitched artifact is byte-identical to the central

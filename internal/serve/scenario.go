@@ -10,9 +10,11 @@
 // artifact is a pure function of (scenario, seed), so a response is keyed
 // by the canonicalized scenario and cached with single-flight
 // de-duplication, the same discipline trace.Cache applies to trace sets.
-// Repeat requests replay byte-identical artifacts without re-simulating,
-// and the streamed bytes equal the offline fgrepro/fgfleet artifacts byte
-// for byte (asserted by the ci.sh smoke gate).
+// Repeat requests replay byte-identical artifacts without re-simulating.
+//
+// Run is the one scenario pipeline: fgrepro and fgfleet are thin adapters
+// that map their flags to a Scenario and call it with their stdout and
+// artifact files, so served bytes equal offline bytes by construction.
 package serve
 
 import (
@@ -22,6 +24,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"time"
 
 	"fivegsim/internal/experiments"
 	"fivegsim/internal/fleet"
@@ -153,9 +156,10 @@ func (sc *Scenario) fleetMixes() ([]fleet.Mix, error) {
 	return []fleet.Mix{m}, nil
 }
 
-// Validate rejects a scenario the runners could not execute — with the same
-// fail-fast discipline as the CLI flag validation, so fgservd, fgfleet, and
-// the fleet library all refuse the same inputs.
+// Validate rejects a scenario Run could not execute. fgservd, fgrepro, and
+// fgfleet all validate through it before running anything or creating any
+// artifact, so every front end refuses the same inputs, and the fleet
+// library's own Config.Validate agrees.
 func (sc *Scenario) Validate() error {
 	switch sc.artifact() {
 	case ArtifactTable, ArtifactTrace, ArtifactMetrics:
@@ -178,7 +182,7 @@ func (sc *Scenario) Validate() error {
 		}
 		for _, id := range sc.Experiments {
 			if !known[id] {
-				return fmt.Errorf("unknown experiment %q (GET /v1/scenarios lists the ids)", id)
+				return fmt.Errorf("unknown experiment %q", id)
 			}
 		}
 	case "fleet":
@@ -204,8 +208,8 @@ func (sc *Scenario) Validate() error {
 
 // CanonicalKey renders the scenario in a normalized, defaults-resolved form:
 // equal keys produce byte-identical artifacts, so the key is the cache key.
-// Fleet shard count and spill mode never enter the key — by the fleet
-// determinism contract they cannot change a byte of output.
+// Fleet shard count never enters the key — by the fleet determinism
+// contract it cannot change a byte of output.
 func (sc *Scenario) CanonicalKey() string {
 	var b strings.Builder
 	b.WriteString(sc.Kind)
@@ -250,91 +254,145 @@ func (sc *Scenario) ContentType() string {
 	return "text/plain; charset=utf-8"
 }
 
-// RunScenario executes a validated scenario and writes the artifact to w,
-// byte-identical to the offline CLI output for the same parameters:
-// battery tables equal `fgrepro` stdout, battery trace/metrics equal the
-// `-trace`/`-metrics` files, fleet tables equal `fgfleet` stdout, and fleet
-// trace/metrics equal fgfleet's artifact files. Trace artifacts stream
-// incrementally — the fleet path encodes through fleet.Spill so trace
-// memory stays O(block) regardless of population size.
+// Outputs selects the artifacts one Run writes, each to its own writer; a
+// nil writer skips that artifact (and the collection only it needs).
+type Outputs struct {
+	// Table receives the rendered tables: fgrepro/fgfleet stdout.
+	Table io.Writer
+	// Trace receives the trace artifact, encoded per the scenario's
+	// TraceFormat. Fleet traces stream as campaigns merge.
+	Trace io.Writer
+	// Metrics receives the metrics CSV.
+	Metrics io.Writer
+}
+
+// Report is what a Run measured besides its artifacts: the wall-clock
+// accounting the CLIs' -stats tables print. Nothing in it reaches an
+// artifact byte.
+type Report struct {
+	// Results holds a battery's experiments in id order.
+	Results []experiments.Result
+	// Campaigns holds a fleet run's campaigns, one per mix in table order.
+	Campaigns []Campaign
+}
+
+// Campaign is one completed fleet campaign and the host wall time it took.
+type Campaign struct {
+	Result *fleet.Result
+	Wall   time.Duration
+}
+
+// Run executes a validated scenario and writes every requested artifact in
+// one pass. It is the only battery and fleet pipeline: fgrepro, fgfleet,
+// and fgservd all call it, so served bytes equal offline bytes by
+// construction. workers bounds the battery's experiment pool (<= 0 means
+// GOMAXPROCS; the bytes are identical for any value); fleet campaigns
+// shard by sc.Fleet.Shards instead.
+//
+// Collection costs only what the outputs need: a battery collects obs
+// records only for a trace or metrics output, and a fleet campaign keeps
+// an obs root only for metrics — its trace streams through the
+// shard-parallel fleet.Spill, so trace memory stays O(block) regardless of
+// population size.
 //
 // Cancellation is cooperative at reduce-step granularity: between battery
 // experiments (RunManyCtx) and between fleet campaigns. A canceled run
-// returns ctx's error; whatever bytes were already streamed must be
-// discarded by the caller (the server abandons the cache entry).
-func RunScenario(ctx context.Context, sc *Scenario, w io.Writer) error {
+// returns ctx's error; whatever bytes were already written must be
+// discarded by the caller.
+func Run(ctx context.Context, sc *Scenario, workers int, out Outputs) (Report, error) {
 	switch sc.Kind {
 	case "battery":
-		return runBatteryScenario(ctx, sc, w)
+		return runBattery(ctx, sc, workers, out)
 	case "fleet":
-		return runFleetScenario(ctx, sc, w)
+		return runFleet(ctx, sc, out)
 	}
-	return fmt.Errorf("kind must be battery or fleet (got %q)", sc.Kind)
+	return Report{}, fmt.Errorf("kind must be battery or fleet (got %q)", sc.Kind)
 }
 
-// runBatteryScenario reproduces the fgrepro artifact paths.
-func runBatteryScenario(ctx context.Context, sc *Scenario, w io.Writer) error {
+// RunScenario runs the scenario with its selected artifact written to w,
+// on GOMAXPROCS battery workers.
+func RunScenario(ctx context.Context, sc *Scenario, w io.Writer) error {
+	_, err := Run(ctx, sc, 0, sc.outputs(w))
+	return err
+}
+
+// outputs routes w to the scenario's selected artifact.
+func (sc *Scenario) outputs(w io.Writer) Outputs {
+	switch sc.artifact() {
+	case ArtifactTrace:
+		return Outputs{Trace: w}
+	case ArtifactMetrics:
+		return Outputs{Metrics: w}
+	}
+	return Outputs{Table: w}
+}
+
+// runBattery runs the experiments over the LPT worker pool, then renders
+// the tables and the obs artifacts in id order.
+func runBattery(ctx context.Context, sc *Scenario, workers int, out Outputs) (Report, error) {
 	cfg := experiments.Config{Seed: sc.seed(), Quick: sc.Quick}
-	if sc.artifact() != ArtifactTable {
-		// A non-nil collector tells RunManyCtx to hand every experiment its
-		// own registry, exactly as fgrepro does for -trace/-metrics.
+	if out.Trace != nil || out.Metrics != nil {
+		// A non-nil collector tells RunManyCtx to hand every experiment
+		// its own registry; the instrumented subsystems record into it.
 		cfg.Obs = obs.New()
 	}
-	results, err := experiments.RunManyCtx(ctx, cfg, sc.batteryIDs(), 0)
+	results, err := experiments.RunManyCtx(ctx, cfg, sc.batteryIDs(), workers)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
-	switch sc.artifact() {
-	case ArtifactTable:
+	rep := Report{Results: results}
+	if out.Table != nil {
 		for _, r := range results {
 			for _, t := range r.Tables {
-				// fgrepro prints each table with fmt.Println: String plus \n.
-				if _, err := io.WriteString(w, t.String()); err != nil {
-					return err
-				}
-				if _, err := io.WriteString(w, "\n"); err != nil {
-					return err
+				if _, err := fmt.Fprintln(out.Table, t); err != nil {
+					return rep, fmt.Errorf("writing table: %w", err)
 				}
 			}
 		}
-		return nil
-	case ArtifactTrace:
-		if sc.traceFormat() == "colf" {
-			return experiments.WriteTraceColf(w, results)
-		}
-		return experiments.WriteTrace(w, results)
-	case ArtifactMetrics:
-		return experiments.WriteMetrics(w, results)
 	}
-	return fmt.Errorf("artifact must be table, trace, or metrics (got %q)", sc.Artifact)
+	if out.Trace != nil {
+		if sc.traceFormat() == "colf" {
+			err = experiments.WriteTraceColf(out.Trace, results)
+		} else {
+			err = experiments.WriteTrace(out.Trace, results)
+		}
+		if err != nil {
+			return rep, err
+		}
+	}
+	if out.Metrics != nil {
+		return rep, experiments.WriteMetrics(out.Metrics, results)
+	}
+	return rep, nil
 }
 
-// runFleetScenario reproduces the fgfleet artifact paths: one campaign per
-// mix, the shared table renderers for stdout, the shard-parallel Spill for
-// the trace artifact (O(block) memory), and the headerless metrics CSV.
-func runFleetScenario(ctx context.Context, sc *Scenario, w io.Writer) error {
+// runFleet runs one campaign per mix, streaming the trace through the
+// shard-parallel Spill as each campaign merges, then renders the exact or
+// stream table and the headerless metrics CSV.
+func runFleet(ctx context.Context, sc *Scenario, out Outputs) (Report, error) {
 	mixes, err := sc.fleetMixes()
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	var root *obs.Obs
-	if sc.artifact() == ArtifactMetrics {
+	if out.Metrics != nil {
 		root = obs.New()
 	}
 	var spill *fleet.Spill
-	if sc.artifact() == ArtifactTrace {
+	if out.Trace != nil {
 		if sc.traceFormat() == "colf" {
-			spill = fleet.NewColfSpill(w, "fleet")
+			spill = fleet.NewColfSpill(out.Trace, "fleet")
 		} else {
-			spill = fleet.NewJSONLSpill(w, "fleet")
+			spill = fleet.NewJSONLSpill(out.Trace, "fleet")
 		}
 	}
+	var rep Report
 	rs := make([]*fleet.Result, 0, len(mixes))
 	for _, mix := range mixes {
 		// The cancellation point: an in-flight request that lost its client
 		// (or hit its timeout) stops between campaigns, not after all mixes.
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("fleet scenario canceled: %w", err)
+			return Report{}, fmt.Errorf("fleet scenario canceled: %w", err)
 		}
 		cfg := sc.fleetConfig(mix)
 		sub := obs.Sub(root)
@@ -343,35 +401,36 @@ func runFleetScenario(ctx context.Context, sc *Scenario, w io.Writer) error {
 			cfg.Spill = spill
 			cfg.SpillTags = []obs.Field{obs.S("mix", mix.String())}
 		}
+		start := time.Now() //fgvet:allow walltime per-campaign wall time for the -stats report, never an artifact byte
 		r, err := fleet.Run(cfg)
 		if err != nil {
-			return err
+			return Report{}, err
 		}
+		wall := time.Since(start) //fgvet:allow walltime per-campaign wall time for the -stats report, never an artifact byte
 		root.MergeTagged(sub, obs.S("mix", mix.String()))
+		rep.Campaigns = append(rep.Campaigns, Campaign{Result: r, Wall: wall})
 		rs = append(rs, r)
 	}
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("fleet scenario canceled: %w", err)
+		return Report{}, fmt.Errorf("fleet scenario canceled: %w", err)
 	}
-	switch sc.artifact() {
-	case ArtifactTable:
-		var table string
+	if out.Table != nil {
+		table := experiments.FleetTable
 		if sc.Fleet.Stream {
-			table = experiments.FleetStreamTable(rs).String()
-		} else {
-			table = experiments.FleetTable(rs).String()
+			table = experiments.FleetStreamTable
 		}
-		// fgfleet prints the table with fmt.Println: String plus \n.
-		if _, err := io.WriteString(w, table); err != nil {
-			return err
+		if _, err := fmt.Fprintln(out.Table, table(rs)); err != nil {
+			return rep, fmt.Errorf("writing table: %w", err)
 		}
-		_, err := io.WriteString(w, "\n")
-		return err
-	case ArtifactTrace:
-		return spill.Close()
-	case ArtifactMetrics:
-		// fgfleet writes the fleet metrics CSV without a header line.
-		return obs.WriteMetricsCSV(w, "fleet", root.Meter())
 	}
-	return fmt.Errorf("artifact must be table, trace, or metrics (got %q)", sc.Artifact)
+	if spill != nil {
+		if err := spill.Close(); err != nil {
+			return rep, err
+		}
+	}
+	if out.Metrics != nil {
+		// The fleet metrics CSV has no header line.
+		return rep, obs.WriteMetricsCSV(out.Metrics, "fleet", root.Meter())
+	}
+	return rep, nil
 }

@@ -92,9 +92,7 @@ func New(opts Options) *Server {
 		cache: newArtifactCache(opts.CacheEntries),
 		mux:   http.NewServeMux(),
 	}
-	s.runScenario = func(ctx context.Context, sc *Scenario, w io.Writer) error {
-		return RunScenario(ctx, sc, w)
-	}
+	s.runScenario = RunScenario
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
@@ -188,8 +186,8 @@ func (s *Server) replay(w http.ResponseWriter, sc *Scenario, e *cacheEntry) {
 
 // generate runs the scenario as the cache leader: acquire a queue slot
 // (429 when full), wait for a worker slot, then stream the artifact in
-// chunks while teeing it into the cache entry. On any failure the entry is
-// abandoned so a later request regenerates.
+// chunks while teeing it into the cache entry. On any failure — a panic
+// included — the entry is abandoned so a later request regenerates.
 func (s *Server) generate(w http.ResponseWriter, r *http.Request, sc *Scenario, key string, e *cacheEntry) {
 	select {
 	case s.queue <- struct{}{}:
@@ -226,7 +224,7 @@ func (s *Server) generate(w http.ResponseWriter, r *http.Request, sc *Scenario, 
 	h.Set("Content-Type", sc.ContentType())
 	h.Set("Trailer", TrailerComplete)
 	tee := &teeResponse{w: w}
-	err := s.runScenario(ctx, sc, tee)
+	err := s.runGuarded(ctx, sc, tee)
 	if err != nil {
 		s.cache.abandon(key, e, err)
 		if tee.started {
@@ -255,6 +253,18 @@ func (s *Server) generate(w http.ResponseWriter, r *http.Request, sc *Scenario, 
 		complete = "0"
 	}
 	h.Set(TrailerComplete, complete)
+}
+
+// runGuarded runs the scenario with a panic turned into an error, so a bad
+// run fails its own request and abandons its cache entry instead of
+// wedging the key for every later request.
+func (s *Server) runGuarded(ctx context.Context, sc *Scenario, w io.Writer) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("scenario panicked: %v", p)
+		}
+	}()
+	return s.runScenario(ctx, sc, w)
 }
 
 // handleHealthz reports liveness and the back-pressure state.

@@ -315,6 +315,65 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
+// TestPanicAbandonsKey: a generation that panics fails its own request with
+// 500 and abandons the cache entry, so a concurrent follower does not hang
+// on the key and the next request regenerates it.
+func TestPanicAbandonsKey(t *testing.T) {
+	srv := New(Options{})
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var runs atomic.Int32
+	srv.runScenario = func(ctx context.Context, sc *Scenario, w io.Writer) error {
+		if runs.Add(1) == 1 {
+			close(started)
+			<-release
+			panic("simulated generation panic")
+		}
+		_, err := io.WriteString(w, "regenerated\n")
+		return err
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// A client timeout turns a wedged key into a test failure, not a hang.
+	client := &http.Client{Timeout: 5 * time.Second}
+	type result struct {
+		status int
+		body   string
+		err    error
+	}
+	post := func() result {
+		resp, err := client.Post(ts.URL+"/v1/run", "application/json",
+			strings.NewReader(`{"kind":"battery","experiments":["table7"]}`))
+		if err != nil {
+			return result{err: err}
+		}
+		data, err := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		return result{resp.StatusCode, string(data), err}
+	}
+
+	leader := make(chan result, 1)
+	go func() { leader <- post() }()
+	<-started
+	follower := make(chan result, 1)
+	go func() { follower <- post() }()
+	time.Sleep(50 * time.Millisecond) // let the follower wait on the leader's key
+	close(release)
+
+	if r := <-leader; r.err != nil || r.status != http.StatusInternalServerError {
+		t.Errorf("leader: status %d, err %v, want 500 (body: %s)", r.status, r.err, r.body)
+	}
+	if r := <-follower; r.err != nil || r.status != http.StatusOK || r.body != "regenerated\n" {
+		t.Errorf("follower: status %d, err %v, body %q; want 200 with the regenerated artifact",
+			r.status, r.err, r.body)
+	}
+	if r := post(); r.err != nil || r.status != http.StatusOK || r.body != "regenerated\n" {
+		t.Errorf("next request: status %d, err %v, body %q; want 200 with the regenerated artifact",
+			r.status, r.err, r.body)
+	}
+}
+
 // TestHealthzAndScenarios: the introspection endpoints answer 200 JSON.
 func TestHealthzAndScenarios(t *testing.T) {
 	srv := New(Options{})
