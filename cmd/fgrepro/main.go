@@ -8,11 +8,13 @@
 //	fgrepro all                  # run everything
 //	fgrepro all -parallel 0      # run everything on all cores
 //	fgrepro colf2json t.colf     # decode a colf trace to JSON Lines
+//	fgrepro gendata data         # write the artifact-style CSV datasets
 //
 // Flags:
 //
 //	-seed N         random seed (default 1)
-//	-quick          reduced repeats for a fast pass
+//	-quick          reduced repeats for a fast pass (gendata: the reduced
+//	                sample dataset)
 //	-parallel N     run N experiments concurrently (0 = GOMAXPROCS, 1 = serial)
 //	-stats          per-experiment wall time and event counts on stderr
 //	-trace FILE     write sim-time trace records to FILE
@@ -35,6 +37,12 @@
 // artifact bytes are identical for any worker count, in either trace
 // format. Decoding a colf trace with colf2json reproduces the jsonl
 // artifact byte for byte.
+//
+// gendata writes the study's datasets as CSV files under DIR (default
+// "data"), mirroring the released artifact's layout: throughput traces,
+// walking power traces, a Speedtest campaign, the web corpus with its
+// 4G/5G measurements, and the driving handoff logs. The tree is
+// deterministic given -seed; -quick writes a reduced sample.
 package main
 
 import (
@@ -46,6 +54,7 @@ import (
 	"time"
 
 	"fivegsim/internal/cli"
+	"fivegsim/internal/dataset"
 	"fivegsim/internal/experiments"
 	"fivegsim/internal/serve"
 )
@@ -111,6 +120,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		ids = rest
 	case "colf2json":
 		return cli.Colf2JSON("fgrepro", rest, stdin, stdout, stderr)
+	case "gendata":
+		return gendata(rest, *seed, *quick, stdout, stderr)
 	default:
 		usage(stderr)
 		return 2
@@ -149,6 +160,31 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// gendata is the gendata subcommand: it writes the CSV datasets under
+// args[0] (default "data"), the reduced sample when quick is set. It
+// returns the exit status: 2 for a usage error, 1 for a write error.
+func gendata(args []string, seed int64, quick bool, stdout, stderr io.Writer) int {
+	if len(args) > 1 {
+		fmt.Fprintln(stderr, "usage: fgrepro [-quick] [-seed N] gendata [DIR]")
+		return 2
+	}
+	dir := "data"
+	if len(args) == 1 {
+		dir = args[0]
+	}
+	o := dataset.Options{Seed: seed}
+	if quick {
+		o = dataset.Options{Traces5G: 10, Traces4G: 10, TraceLenS: 120,
+			WalkMinutes: 5, Sites: 100, SpeedtestRepeats: 2, Seed: seed}
+	}
+	if err := dataset.WriteAll(dir, o); err != nil {
+		fmt.Fprintln(stderr, "fgrepro:", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "dataset written under %s/ (traces, walking, speedtest, web, handoff)\n", dir)
+	return 0
+}
+
 func usage(w io.Writer) {
 	fmt.Fprintf(w, `fgrepro regenerates the paper's tables and figures.
 
@@ -157,10 +193,11 @@ usage:
   fgrepro [flags] run <id>...
   fgrepro [flags] all
   fgrepro colf2json [file.colf]
+  fgrepro [-quick] [-seed N] gendata [DIR]
 
 flags:
   -seed N         random seed (default 1)
-  -quick          reduced repeats for a fast pass
+  -quick          reduced repeats for a fast pass (gendata: reduced sample)
   -parallel N     experiments to run concurrently (0 = GOMAXPROCS, 1 = serial)
   -stats          per-experiment wall time and event counts on stderr
   -trace FILE     write sim-time trace records to FILE

@@ -3,8 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,6 +38,7 @@ func TestUsageErrors(t *testing.T) {
 		{"bad trace format after subcommand", []string{"all", "-trace-format", "xml"}, "-trace-format"},
 		{"undefined flag", []string{"-frobnicate", "all"}, "frobnicate"},
 		{"unknown experiment", []string{"run", "table7", "nope"}, "unknown experiment"},
+		{"gendata too many args", []string{"gendata", "a", "b"}, "gendata [DIR]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -198,5 +203,84 @@ func TestMatchesServedBytes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// readTree maps every file under root, by slash-separated relative path, to
+// its contents.
+func readTree(t *testing.T, root string) map[string]string {
+	t.Helper()
+	tree := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		tree[filepath.ToSlash(rel)] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// TestGendata: the quick dataset has the artifact's layout, is a function
+// of -seed alone, and a DIR that cannot be created is a runtime error.
+func TestGendata(t *testing.T) {
+	dir := t.TempDir()
+	gen := func(name, seed string) map[string]string {
+		t.Helper()
+		out := filepath.Join(dir, name)
+		code, stdout, stderr := runCLI(t, "", "-quick", "-seed", seed, "gendata", out)
+		if code != 0 {
+			t.Fatalf("gendata -seed %s exit = %d (stderr: %s)", seed, code, stderr)
+		}
+		if !strings.Contains(stdout, out) {
+			t.Errorf("stdout %q does not name the output directory", stdout)
+		}
+		return readTree(t, out)
+	}
+	a, again, other := gen("a", "1"), gen("again", "1"), gen("other", "2")
+
+	var want []string
+	for i := range 10 {
+		for _, g := range []string{"4g", "5g"} {
+			want = append(want, fmt.Sprintf("traces/%s/%03d.csv", g, i))
+		}
+	}
+	for i := range 5 {
+		want = append(want, fmt.Sprintf("handoff/drive_%d.csv", i))
+	}
+	want = append(want, "speedtest/campaign.csv", "web/corpus.csv", "web/measurements.csv",
+		"walking/lowband_s20u_minneapolis.csv", "walking/mmwave_s10_annarbor.csv",
+		"walking/mmwave_s20u_minneapolis.csv")
+	slices.Sort(want)
+	var got []string
+	for rel := range a {
+		got = append(got, rel)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("quick dataset files:\n got %v\nwant %v", got, want)
+	}
+
+	if !maps.Equal(a, again) {
+		t.Error("the same seed wrote different trees")
+	}
+	if maps.Equal(a, other) {
+		t.Error("a different seed wrote the same tree")
+	}
+
+	blocker := filepath.Join(dir, "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, stderr := runCLI(t, "", "-quick", "gendata", filepath.Join(blocker, "sub")); code != 1 {
+		t.Errorf("unwritable DIR exit = %d, want 1 (stderr: %s)", code, stderr)
 	}
 }

@@ -410,17 +410,16 @@ func SimulateScratch(v Video, algo Algorithm, tr []float64, opt Options, sc *Scr
 // Aggregate averages results across traces (the per-algorithm points of
 // Fig. 17).
 type Aggregate struct {
-	Algorithm    string
-	NormBitrate  float64
-	StallPct     float64
-	MeanStallS   float64
-	MeanQoE      float64
-	MeanSwitches float64
+	Algorithm   string
+	NormBitrate float64
+	StallPct    float64
+	MeanStallS  float64
+	MeanQoE     float64
 }
 
 // traceStats is the per-trace contribution to an Aggregate.
 type traceStats struct {
-	norm, stallPct, stallS, qoe, switches float64
+	norm, stallPct, stallS, qoe float64
 }
 
 func oneTrace(v Video, algo Algorithm, tr []float64, opt Options, sc *Scratch) traceStats {
@@ -430,7 +429,6 @@ func oneTrace(v Video, algo Algorithm, tr []float64, opt Options, sc *Scratch) t
 		stallPct: r.StallPct,
 		stallS:   r.StallS,
 		qoe:      r.QoE,
-		switches: float64(r.Switches),
 	}
 }
 
@@ -514,13 +512,11 @@ func EvaluateWorkers(v Video, algo Algorithm, traces [][]float64, opt Options, w
 		agg.StallPct += s.stallPct
 		agg.MeanStallS += s.stallS
 		agg.MeanQoE += s.qoe
-		agg.MeanSwitches += s.switches
 	}
 	n := float64(len(traces))
 	agg.NormBitrate /= n
 	agg.StallPct /= n
 	agg.MeanStallS /= n
 	agg.MeanQoE /= n
-	agg.MeanSwitches /= n
 	return agg
 }

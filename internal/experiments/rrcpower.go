@@ -35,6 +35,20 @@ var fig25Networks = []radio.Network{
 	radio.TMobileLTE,
 }
 
+// probeMaxGap is the longest idle gap RRC-Probe sweeps on n, shared by the
+// Fig. 10/25 scatters and Table 7: 16 s covers the ~10 s tails, VZ
+// low-band's 18.8 s LTE tail needs 40 s, and TM SA gets margin past the
+// end of its RRC_INACTIVE dwell (10.4 s tail + 5 s).
+func probeMaxGap(n radio.Network) float64 {
+	switch n.Key() {
+	case radio.VerizonNSALowBand.Key():
+		return 40
+	case radio.TMobileSALowBand.Key():
+		return 18
+	}
+	return 16
+}
+
 // probeScatter runs RRC-Probe for a set of networks and reports the
 // RTT-versus-idle-gap profile (the scatter of Fig. 10/25) summarised per
 // gap, plus the per-network state inference.
@@ -46,13 +60,7 @@ func probeScatter(cfg Config, id, title string, nets []radio.Network) []*Table {
 		if err != nil {
 			panic(err)
 		}
-		maxGap := 16.0
-		if n.Key() == radio.VerizonNSALowBand.Key() {
-			maxGap = 40 // the 18.8 s LTE tail needs the longer sweep
-		}
-		if n.Key() == radio.TMobileSALowBand.Key() {
-			maxGap = 18
-		}
+		maxGap := probeMaxGap(n)
 		samples := p.Run(maxGap, 0.5, perGap)
 		t := &Table{ID: id, Title: fmt.Sprintf("%s: %s RTT vs idle gap", title, n),
 			Header: []string{"Idle gap (s)", "min RTT (ms)", "median RTT (ms)", "reply radio"}}
@@ -188,14 +196,7 @@ func Table7(cfg Config) []*Table {
 		if err != nil {
 			panic(err)
 		}
-		maxGap := 16.0
-		switch n.Key() {
-		case radio.VerizonNSALowBand.Key():
-			maxGap = 40
-		case radio.TMobileSALowBand.Key():
-			maxGap = 18
-		}
-		inf, err := rrcprobe.Infer(p.Run(maxGap, 0.5, perGap))
+		inf, err := rrcprobe.Infer(p.Run(probeMaxGap(n), 0.5, perGap))
 		if err != nil {
 			panic(fmt.Sprintf("table7: %s: %v", n, err))
 		}

@@ -353,19 +353,3 @@ var AzureRegions = []AzureRegion{
 	{"West2", City{"Quincy", "WA", Point{47.23, -119.85}}, 2044},
 	{"West", SanFrancisco, 2532},
 }
-
-// NewAzureRegistry returns the cloud-VM server pool of Fig. 8. Cloud VMs have
-// high but finite NIC capacity and a small extra RTT for the datacenter edge.
-func NewAzureRegistry() *Registry {
-	r := &Registry{}
-	for _, a := range AzureRegions {
-		r.Servers = append(r.Servers, Server{
-			Name:       "Azure " + a.Name,
-			City:       a.City,
-			Kind:       HostCloud,
-			CapMbps:    10000,
-			ExtraRTTMs: 1,
-		})
-	}
-	return r
-}

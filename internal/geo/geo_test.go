@@ -106,10 +106,9 @@ func TestMinnesotaRegistry(t *testing.T) {
 	}
 }
 
-func TestAzureRegistry(t *testing.T) {
-	r := NewAzureRegistry()
-	if len(r.Servers) != 8 {
-		t.Fatalf("Azure registry has %d servers, want 8", len(r.Servers))
+func TestAzureRegions(t *testing.T) {
+	if len(AzureRegions) != 8 {
+		t.Fatalf("%d Azure regions, want 8", len(AzureRegions))
 	}
 	// The paper reports network-path distances, which can only exceed (or
 	// roughly equal) the geodesic distance of the region's anchor city.

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # bench.sh — run the per-experiment campaign benchmarks plus the sim-kernel,
-# ABR, fleet, and colf hot-path micro-benchmarks, emit BENCH_6.json:
+# ABR, fleet, and colf hot-path micro-benchmarks, emit BENCH_<n+1>.json:
 # {"<name>": {"ns_per_op": ..., "bytes_per_op": ..., "allocs_per_op": ...,
 # ["ues_per_s": ...], ["bytes_per_event": ...], ["mb_per_s": ...],
 # ["x_vs_jsonl": ...], ["retained_b_per_ue": ...]}, ...}, plus a derived
 # "FleetParallelScaling" entry (speedup and per-shard efficiency of the
 # FleetCampaignShards sweep), and print the per-benchmark delta against the
-# previous recording (BENCH_5.json) so the perf trajectory is tracked PR
-# over PR.
+# previous recording (BENCH_<n>.json) so the perf trajectory is tracked PR
+# over PR. n is the highest number among the BENCH_*.json files present, so
+# a plain run never overwrites a committed recording.
 #
 # Usage:
 #   scripts/bench.sh [output.json] [baseline.json]
@@ -18,8 +19,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_6.json}"
-base="${2:-BENCH_5.json}"
+last=0
+for f in BENCH_*.json; do
+    n="${f#BENCH_}"
+    n="${n%.json}"
+    case "$n" in '' | *[!0-9]*) continue ;; esac
+    if [ $((10#$n)) -gt "$last" ]; then last=$((10#$n)); fi
+done
+out="${1:-BENCH_$((last + 1)).json}"
+base="${2:-BENCH_$last.json}"
 benchtime="${BENCHTIME:-1x}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
