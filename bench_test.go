@@ -95,8 +95,8 @@ func BenchmarkRunAllParallel(b *testing.B) {
 	cfg := experiments.Config{Seed: 1, Quick: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if rs := experiments.RunAllParallel(cfg, 0); len(rs) == 0 {
-			b.Fatal("RunAllParallel produced no results")
+		if rs, err := experiments.RunMany(cfg, experiments.IDs(), 0); err != nil || len(rs) == 0 {
+			b.Fatalf("RunMany produced no results: %v", err)
 		}
 	}
 }

@@ -2,12 +2,37 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 
 	"fivegsim/internal/fleet"
 	"fivegsim/internal/obs"
 	"fivegsim/internal/obs/colf"
 )
+
+// newTraceEncoder returns the battery trace encoder for format, as the
+// scenario pipeline maps trace_format.
+func newTraceEncoder(format string, w io.Writer) obs.TraceEncoder {
+	if format == "colf" {
+		return colf.NewWriter(w)
+	}
+	return obs.NewTraceJSONWriter(w)
+}
+
+// traceArtifact encodes results' trace in format: WriteTrace, then Flush.
+func traceArtifact(t *testing.T, format string, results []Result) string {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := newTraceEncoder(format, &buf)
+	if err := WriteTrace(enc, results); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
 
 // TestWriteTraceColfByteIdentical extends the battery artifact contract to
 // the binary format: colf bytes are identical between a serial and a
@@ -20,14 +45,7 @@ func TestWriteTraceColfByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cb, jb bytes.Buffer
-		if err := WriteTraceColf(&cb, results); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteTrace(&jb, results); err != nil {
-			t.Fatal(err)
-		}
-		return cb.String(), jb.String()
+		return traceArtifact(t, "colf", results), traceArtifact(t, "jsonl", results)
 	}
 
 	c1, j1 := run(1)
@@ -46,6 +64,45 @@ func TestWriteTraceColfByteIdentical(t *testing.T) {
 	}
 	if len(c1) >= len(j1) {
 		t.Errorf("colf artifact (%d B) not smaller than JSONL (%d B)", len(c1), len(j1))
+	}
+}
+
+// failAfter accepts n bytes, then fails every write with err.
+type failAfter struct {
+	n   int
+	err error
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k := f.n
+		f.n = 0
+		return k, f.err
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriteTraceErrorSurfaces: a writer that fails partway must fail the
+// battery trace loudly, in both formats — WriteTrace returns the error if
+// it hits while records are added, and Flush returns it in every case.
+func TestWriteTraceErrorSurfaces(t *testing.T) {
+	results, err := RunMany(Config{Seed: 5, Quick: true, Obs: obs.New()}, []string{"table2"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diskFull := errors.New("disk full")
+	for _, format := range []string{"colf", "jsonl"} {
+		full := len(traceArtifact(t, format, results))
+		for _, n := range []int{0, full / 2, full - 1} {
+			enc := newTraceEncoder(format, &failAfter{n: n, err: diskFull})
+			if err := WriteTrace(enc, results); err != nil && !errors.Is(err, diskFull) {
+				t.Fatalf("%s n=%d: WriteTrace() = %v, want nil or %v", format, n, err, diskFull)
+			}
+			if err := enc.Flush(); !errors.Is(err, diskFull) {
+				t.Errorf("%s n=%d: Flush() = %v, want %v", format, n, err, diskFull)
+			}
+		}
 	}
 }
 
@@ -69,49 +126,32 @@ func fleetCampaigns(root *obs.Obs, shards int, stream bool) []*fleet.Result {
 }
 
 // TestFleetColfSpillShardInvariance is the acceptance gate for the binary
-// artifact: a fleet trace streamed through Tracer.SpillTo into a colf
-// encoder produces byte-identical artifacts at shard counts {1,2,4,7}, and
-// decoding reproduces exactly what WriteTraceJSON renders from an unspilled
-// tracer.
+// fleet artifact: the colf encoding of the merged campaign trace is
+// byte-identical at shard counts {1,2,4,7}, and decoding reproduces
+// exactly the JSONL encoding of the same records.
 func TestFleetColfSpillShardInvariance(t *testing.T) {
-	spillColf := func(shards int) string {
+	trace := func(format string, shards int) string {
 		root := obs.New()
-		var buf bytes.Buffer
-		cw := colf.NewWriter(&buf)
-		// A small spill capacity forces many flush boundaries mid-campaign;
-		// colf bytes must not depend on where they fall.
-		root.Trace().SpillTo(cw.Sink("fleet"), 37)
 		fleetCampaigns(root, shards, false)
-		if err := root.Trace().FlushSpill(); err != nil {
-			t.Fatal(err)
-		}
-		if err := cw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+		return traceArtifact(t, format, []Result{{ID: "fleet", Obs: root}})
 	}
 
-	want := spillColf(1)
+	want := trace("colf", 1)
 	for _, shards := range []int{2, 4, 7} {
-		if got := spillColf(shards); got != want {
+		if got := trace("colf", shards); got != want {
 			t.Errorf("colf artifact differs between 1 and %d shards (%d vs %d bytes)",
 				shards, len(want), len(got))
 		}
 	}
 
-	root := obs.New()
-	fleetCampaigns(root, 3, false)
-	var jsonl bytes.Buffer
-	if err := obs.WriteTraceJSON(&jsonl, "fleet", root.Trace()); err != nil {
-		t.Fatal(err)
-	}
+	jsonl := trace("jsonl", 3)
 	var decoded bytes.Buffer
 	if err := colf.DecodeToJSON(bytes.NewReader([]byte(want)), &decoded); err != nil {
 		t.Fatal(err)
 	}
-	if decoded.String() != jsonl.String() {
-		t.Errorf("decoded spilled colf differs from buffered JSONL (%d vs %d bytes)",
-			decoded.Len(), jsonl.Len())
+	if decoded.String() != jsonl {
+		t.Errorf("decoded colf differs from direct JSONL (%d vs %d bytes)",
+			decoded.Len(), len(jsonl))
 	}
 }
 

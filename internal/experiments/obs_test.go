@@ -38,14 +38,11 @@ func TestRunManyObsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tj, mc bytes.Buffer
-		if err := WriteTrace(&tj, results); err != nil {
-			t.Fatal(err)
-		}
+		var mc bytes.Buffer
 		if err := WriteMetrics(&mc, results); err != nil {
 			t.Fatal(err)
 		}
-		return renderAll(results), tj.String(), mc.String()
+		return renderAll(results), traceArtifact(t, "jsonl", results), mc.String()
 	}
 
 	tab1, tj1, mc1 := run(1)
@@ -93,15 +90,12 @@ func TestRunManyNoObsLeavesResultsBare(t *testing.T) {
 	if results[0].Obs != nil {
 		t.Error("Result.Obs non-nil without cfg.Obs")
 	}
-	var tj, mc bytes.Buffer
-	if err := WriteTrace(&tj, results); err != nil {
-		t.Fatal(err)
-	}
+	var mc bytes.Buffer
 	if err := WriteMetrics(&mc, results); err != nil {
 		t.Fatal(err)
 	}
-	if tj.Len() != 0 {
-		t.Errorf("trace artifact not empty: %q", tj.String())
+	if tj := traceArtifact(t, "jsonl", results); tj != "" {
+		t.Errorf("trace artifact not empty: %q", tj)
 	}
 	if mc.String() != obs.MetricsCSVHeader {
 		t.Errorf("metrics artifact not header-only: %q", mc.String())

@@ -4,39 +4,24 @@ import (
 	"io"
 
 	"fivegsim/internal/obs"
-	"fivegsim/internal/obs/colf"
 )
 
-// WriteTrace writes the battery's merged trace artifact: each result's
-// records as JSON Lines scoped by experiment id, concatenated in the order
-// of results (id order from RunMany/RunAllParallel). Results without a
-// collector contribute nothing. The bytes are identical for every worker
-// count because collection is per experiment and results arrive ordered.
-func WriteTrace(w io.Writer, results []Result) error {
+// WriteTrace encodes the battery's merged trace artifact: each result's
+// records scoped by experiment id, concatenated in the order of results
+// (id order from RunMany). Results without a collector contribute nothing.
+// The bytes are identical for every worker count because collection is
+// per experiment and results arrive ordered; the encoder picks the format
+// (JSONL or colf, whose blocks span experiment boundaries). The caller
+// flushes enc.
+func WriteTrace(enc obs.TraceEncoder, results []Result) error {
 	for _, r := range results {
-		if err := obs.WriteTraceJSON(w, r.ID, r.Obs.Trace()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteTraceColf writes the battery's trace artifact in colf binary form:
-// the exact (scope, record) sequence WriteTrace renders as JSON Lines,
-// encoded through one colf.Writer so blocks can span experiment boundaries.
-// The bytes depend only on that sequence — not on worker count or batch
-// timing — and colf.DecodeToJSON recovers WriteTrace's output byte for byte.
-func WriteTraceColf(w io.Writer, results []Result) error {
-	cw := colf.NewWriter(w)
-	for _, r := range results {
-		recs := r.Obs.Trace().Records()
-		for i := range recs {
-			if err := cw.Add(r.ID, recs[i]); err != nil {
+		for _, rec := range r.Obs.Trace().Records() {
+			if err := enc.Add(r.ID, rec); err != nil {
 				return err
 			}
 		}
 	}
-	return cw.Close()
+	return nil
 }
 
 // WriteMetrics writes the battery's merged metrics artifact: one CSV header

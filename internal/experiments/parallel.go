@@ -202,15 +202,3 @@ func scheduleOrder(ids []string) []int {
 	})
 	return order
 }
-
-// RunAllParallel executes every registered experiment over a worker pool
-// (workers <= 0 selects GOMAXPROCS) and returns results in sorted id order,
-// with tables byte-identical to RunAll(cfg).
-func RunAllParallel(cfg Config, workers int) []Result {
-	results, err := RunMany(cfg, IDs(), workers)
-	if err != nil {
-		// Unreachable: IDs() only returns registered experiments.
-		panic(err)
-	}
-	return results
-}

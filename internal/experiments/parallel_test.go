@@ -46,19 +46,21 @@ func TestParallelMatchesSerialByteForByte(t *testing.T) {
 	}
 }
 
-// RunAllParallel must preserve sorted-id order and agree with RunAll table
-// by table across the whole battery.
+// RunMany over every id on the worker pool must preserve sorted-id order
+// and agree with the serial RunAll table by table across the whole battery.
 func TestRunAllParallelMatchesRunAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full battery; skipped in -short mode")
 	}
 	cfg := Config{Seed: 1, Quick: true}
 	serial := RunAll(cfg)
-	results := RunAllParallel(cfg, 0)
-
 	ids := IDs()
+	results, err := RunMany(cfg, ids, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != len(ids) {
-		t.Fatalf("RunAllParallel returned %d results, want %d", len(results), len(ids))
+		t.Fatalf("RunMany returned %d results, want %d", len(results), len(ids))
 	}
 	var parTables []*Table
 	for i, r := range results {

@@ -46,8 +46,6 @@ type Config struct {
 	WindowS float64
 	// SessionS is the video length per UE. 0 means 32.
 	SessionS float64
-	// RouteKm is the city route length. 0 means 12.
-	RouteKm float64
 	// Obs, when enabled, receives population CDF histograms, campaign
 	// counters, and sampled per-session trace records from the reduce.
 	// It never changes the tables, and shard count never changes its
@@ -70,11 +68,12 @@ type Config struct {
 	// to the spill's artifact writer with shard-parallel encoding (see
 	// Spill), instead of emitting them into Obs's tracer. Metrics and
 	// histograms still flow through Obs. The artifact bytes are identical
-	// to the central Obs+SpillTo pipeline at any shard count.
+	// to accumulating the records in Obs and encoding them once, at any
+	// shard count.
 	Spill *Spill
 	// SpillTags are appended to every spilled record, in order — the
-	// counterpart of the MergeTagged tags of the central pipeline (e.g.
-	// the mix tag fgfleet attaches per campaign).
+	// counterpart of the MergeTagged tags of the Obs path (e.g. the mix
+	// tag fgfleet attaches per campaign).
 	SpillTags []obs.Field
 }
 
@@ -100,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionS == 0 {
 		c.SessionS = 32
-	}
-	if c.RouteKm == 0 {
-		c.RouteKm = 12
 	}
 	return c
 }
@@ -206,7 +202,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	dep, err := newDeployment(cfg.Mix, cfg.RouteKm)
+	dep, err := newDeployment(cfg.Mix)
 	if err != nil {
 		return nil, err
 	}

@@ -95,7 +95,7 @@ func TestRNGUniformAndNormalShape(t *testing.T) {
 // count.
 func TestSlabRecycling(t *testing.T) {
 	cfg := Config{Seed: 3, UEs: 600, Shards: 1, WindowS: 900, SessionS: 24}.withDefaults()
-	dep, err := newDeployment(MixLowBand, cfg.RouteKm)
+	dep, err := newDeployment(MixLowBand)
 	if err != nil {
 		t.Fatal(err)
 	}

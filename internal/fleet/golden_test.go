@@ -41,13 +41,7 @@ func goldenArtifacts(t *testing.T, mix fleet.Mix) string {
 		t.Fatal(err)
 	}
 	var cbuf bytes.Buffer
-	cw := colf.NewWriter(&cbuf)
-	if err := cw.Sink("fleet").WriteRecords(root.Trace().Records()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	encodeRecords(t, colf.NewWriter(&cbuf), root.Trace().Records())
 	var metrics bytes.Buffer
 	if err := obs.WriteMetricsCSV(&metrics, "fleet", root.Meter()); err != nil {
 		t.Fatal(err)

@@ -13,25 +13,25 @@ import (
 // an artifact writer, with the record encoding done by the shards in
 // parallel instead of by the serial reduce.
 //
-// The central pipeline (Config.Obs plus Tracer.SpillTo), kept as the
-// reference the spill tests compare against, encodes every record on the
-// reduce goroutine after the shards join. With a Spill, each
-// shard encodes its own slice of the record stream concurrently with the
-// other shards' simulation work, and Run stitches the segments together in
-// shard order. The stitched artifact is byte-identical to the central
-// pipeline's at any shard count:
+// The reference the spill tests compare against accumulates every record
+// in Config.Obs and encodes the tracer's Records once, on one goroutine,
+// after the shards join. With a Spill, each shard encodes its own slice of
+// the record stream concurrently with the other shards' simulation work,
+// and Run stitches the segments together in shard order. The stitched
+// artifact is byte-identical to the reference at any shard count:
 //
 //   - Sampling is a fixed stride over UE ids (ue % every == 0), and shards
 //     own contiguous id ranges, so each shard's sampled records form a
 //     contiguous slice of the global record stream whose start offset is
 //     known in advance — no coordination needed.
-//   - JSONL renders every record independently, so shard segments
-//     concatenate verbatim.
-//   - colf blocks are self-contained (dictionary and delta chains reset at
-//     each boundary), so a shard can pre-encode exactly the full blocks
-//     that fall inside its slice; the boundary remainders are handed to
-//     the stitcher as raw records and re-blocked centrally, which is the
-//     same few-records-per-boundary work a single writer would have done.
+//   - Encoder blocks are self-contained (colf resets its dictionary and
+//     delta chains at each boundary), so a shard can pre-encode exactly the
+//     full blocks that fall inside its slice; the boundary remainders are
+//     handed to the stitcher as raw records and re-blocked centrally,
+//     which is the same few-records-per-boundary work a single writer
+//     would have done.
+//   - JSONL is the block-size-1 case: every line is self-contained, so a
+//     shard renders its whole slice and leaves no remainder.
 //
 // A Spill may serve several sequential campaigns (fgfleet runs one per
 // mix): the global record offset carries across Run calls, so colf block
@@ -41,9 +41,9 @@ import (
 type Spill struct {
 	scope     string
 	blockRecs int
-	cw        *colf.Writer // colf mode
-	jw        io.Writer    // jsonl mode: segments arrive fully rendered
-	base      uint64       // records stitched so far, across campaigns
+	enc       obs.TraceEncoder
+	segment   func(io.Writer) obs.TraceEncoder // shard-side block encoder
+	base      uint64                           // records stitched so far, across campaigns
 }
 
 // NewColfSpill returns a Spill encoding the trace as a colf stream with
@@ -60,27 +60,24 @@ func NewColfSpillSize(w io.Writer, scope string, blockRecs int) *Spill {
 	if blockRecs < 1 {
 		blockRecs = 1
 	}
-	return &Spill{scope: scope, blockRecs: blockRecs, cw: colf.NewWriterSize(w, blockRecs)}
+	return &Spill{scope: scope, blockRecs: blockRecs, enc: colf.NewWriterSize(w, blockRecs),
+		segment: func(w io.Writer) obs.TraceEncoder { return colf.NewSegmentWriter(w, blockRecs) }}
 }
 
 // NewJSONLSpill returns a Spill rendering the trace as JSON Lines,
 // scoping every record with scope.
 func NewJSONLSpill(w io.Writer, scope string) *Spill {
-	return &Spill{scope: scope, jw: w}
+	return &Spill{scope: scope, blockRecs: 1, enc: obs.NewTraceJSONWriter(w),
+		segment: func(w io.Writer) obs.TraceEncoder { return obs.NewTraceJSONWriter(w) }}
 }
 
 // Close flushes the spill after the final campaign. It must be called
 // exactly once; the underlying writer is not closed.
-func (sp *Spill) Close() error {
-	if sp.cw != nil {
-		return sp.cw.Close()
-	}
-	return nil
-}
+func (sp *Spill) Close() error { return sp.enc.Flush() }
 
 // sessionRecord renders one sampled session as the fleet trace record,
 // with any artifact tags appended after the session fields — the same
-// field order the central pipeline produces via reduce plus MergeTagged.
+// field order the Obs path produces via reduce plus MergeTagged.
 func sessionRecord(ue int, u *UEResult, tags []obs.Field) obs.Record {
 	r := obs.Span(u.ArrivalS, u.DurationS, "fleet", "session").
 		With(obs.F("ue", float64(ue))).
@@ -128,9 +125,8 @@ func (sh *shard) samples(rg Range, every int) []sessionSample {
 }
 
 // spillSeg is one shard's pre-encoded slice of the global record stream.
-// blocks holds whole aligned colf blocks (or, in jsonl mode, every record
-// rendered); head and tail carry the boundary remainders as raw records
-// for the stitcher to re-block.
+// blocks holds whole aligned encoder blocks; head and tail carry the
+// boundary remainders as raw records for the stitcher to re-block.
 type spillSeg struct {
 	head   []obs.Record
 	blocks []byte
@@ -144,16 +140,6 @@ type spillSeg struct {
 func (sp *Spill) encodeSeg(samples []sessionSample, tags []obs.Field, gstart uint64) spillSeg {
 	var seg spillSeg
 	if len(samples) == 0 {
-		return seg
-	}
-	if sp.jw != nil {
-		var buf []byte
-		for i := range samples {
-			r := sessionRecord(samples[i].ue, &samples[i].u, tags)
-			buf = obs.AppendRecordJSON(buf, sp.scope, &r)
-			buf = append(buf, '\n')
-		}
-		seg.blocks = buf
 		return seg
 	}
 	n := uint64(len(samples))
@@ -174,10 +160,10 @@ func (sp *Spill) encodeSeg(samples []sessionSample, tags []obs.Field, gstart uin
 		seg.head = append(seg.head, rec(g-gstart))
 	}
 	var buf bytes.Buffer
-	sw := colf.NewSegmentWriter(&buf, sp.blockRecs)
+	sw := sp.segment(&buf)
 	for g := lo; g < hi; g++ {
 		if err := sw.Add(sp.scope, rec(g-gstart)); err != nil {
-			// Unreachable: the segment writer targets an in-memory
+			// Unreachable: the segment encoder targets an in-memory
 			// buffer, which cannot fail. Fail loudly rather than drop
 			// trace records.
 			panic(err)
@@ -200,28 +186,20 @@ func (sp *Spill) encodeSeg(samples []sessionSample, tags []obs.Field, gstart uin
 func (sp *Spill) stitch(segs []spillSeg, total uint64) error {
 	for i := range segs {
 		seg := &segs[i]
-		if sp.jw != nil {
-			if len(seg.blocks) > 0 {
-				if _, err := sp.jw.Write(seg.blocks); err != nil {
-					return err
-				}
-			}
-			continue
-		}
 		for j := range seg.head {
-			if err := sp.cw.Add(sp.scope, seg.head[j]); err != nil {
+			if err := sp.enc.Add(sp.scope, seg.head[j]); err != nil {
 				return err
 			}
 		}
 		if len(seg.blocks) > 0 {
-			// The offset arithmetic guarantees the central writer sits on
-			// a block boundary here; WriteRawBlocks enforces it.
-			if err := sp.cw.WriteRawBlocks(seg.blocks); err != nil {
+			// The offset arithmetic guarantees the central encoder sits on
+			// a block boundary here; colf's WriteRawBlocks enforces it.
+			if err := sp.enc.WriteRawBlocks(seg.blocks); err != nil {
 				return err
 			}
 		}
 		for j := range seg.tail {
-			if err := sp.cw.Add(sp.scope, seg.tail[j]); err != nil {
+			if err := sp.enc.Add(sp.scope, seg.tail[j]); err != nil {
 				return err
 			}
 		}

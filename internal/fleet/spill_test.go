@@ -2,6 +2,8 @@ package fleet_test
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 
 	"fivegsim/internal/fleet"
@@ -10,8 +12,8 @@ import (
 )
 
 // The spill acceptance gates: the shard-parallel spill path must produce
-// byte-identical artifacts to the central Obs+SpillTo pipeline, in both
-// formats, at any shard count, in both exact and stream mode, across
+// byte-identical artifacts to the central accumulate-then-encode oracle, in
+// both formats, at any shard count, in both exact and stream mode, across
 // sequential multi-mix campaigns whose colf block boundaries straddle
 // campaign edges.
 
@@ -21,25 +23,42 @@ import (
 // also straddle the three campaigns.
 const spillBlockRecs = 37
 
-// centralTrace renders the reference artifact through the existing serial
-// pipeline: campaign reduce emits into a sub-collector, MergeTagged stamps
-// the mix tag, and the root tracer spills through the encoder.
-func centralTrace(t *testing.T, format string, shards int, stream bool) []byte {
+// newEncoder returns the central oracle's encoder for format.
+func newEncoder(format string, w io.Writer) obs.TraceEncoder {
+	if format == "colf" {
+		return colf.NewWriterSize(w, spillBlockRecs)
+	}
+	return obs.NewTraceJSONWriter(w)
+}
+
+// newSpill returns the shard-parallel spill for format.
+func newSpill(format string, w io.Writer) *fleet.Spill {
+	if format == "colf" {
+		return fleet.NewColfSpillSize(w, "fleet", spillBlockRecs)
+	}
+	return fleet.NewJSONLSpill(w, "fleet")
+}
+
+// encodeRecords is the oracle's encode step: every record under the
+// "fleet" scope, in order, then one Flush.
+func encodeRecords(t *testing.T, enc obs.TraceEncoder, recs []obs.Record) {
+	t.Helper()
+	for _, r := range recs {
+		if err := enc.Add("fleet", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// centralTrace renders the reference artifact serially: each campaign's
+// reduce emits into a sub-collector, MergeTagged stamps the mix tag, and
+// the accumulated records are encoded once by enc.
+func centralTrace(t *testing.T, enc obs.TraceEncoder, shards int, stream bool) {
 	t.Helper()
 	root := obs.New()
-	var buf bytes.Buffer
-	var sink obs.RecordSink
-	finish := func() error { return nil }
-	if format == "colf" {
-		cw := colf.NewWriterSize(&buf, spillBlockRecs)
-		sink = cw.Sink("fleet")
-		finish = cw.Close
-	} else {
-		jw := obs.NewTraceJSONWriter(&buf, "fleet")
-		sink = jw
-		finish = jw.Flush
-	}
-	root.Trace().SpillTo(sink, 64)
 	for _, mix := range fleet.AllMixes {
 		sub := obs.Sub(root)
 		mustRun(t, fleet.Config{
@@ -48,33 +67,34 @@ func centralTrace(t *testing.T, format string, shards int, stream bool) []byte {
 		})
 		root.MergeTagged(sub, obs.S("mix", mix.String()))
 	}
-	if err := root.Trace().FlushSpill(); err != nil {
-		t.Fatal(err)
-	}
-	if err := finish(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	encodeRecords(t, enc, root.Trace().Records())
 }
 
-// spilledTrace renders the same artifact through the shard-parallel spill:
-// per-shard segment encoding, stitched in shard order, one Spill across
-// all three mixes.
-func spilledTrace(t *testing.T, format string, shards int, stream bool) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	var sp *fleet.Spill
-	if format == "colf" {
-		sp = fleet.NewColfSpillSize(&buf, "fleet", spillBlockRecs)
-	} else {
-		sp = fleet.NewJSONLSpill(&buf, "fleet")
-	}
+// runSpill runs the three mixes' campaigns through one shard-parallel
+// spill: per-shard segment encoding, stitched in shard order. It returns
+// the first Run error and leaves Close to the caller.
+func runSpill(sp *fleet.Spill, shards int, stream bool) error {
+	var first error
 	for _, mix := range fleet.AllMixes {
-		mustRun(t, fleet.Config{
+		_, err := fleet.Run(fleet.Config{
 			Seed: 7, UEs: 403, Shards: shards, Mix: mix, WindowS: 60,
 			Stream: stream,
 			Spill:  sp, SpillTags: []obs.Field{obs.S("mix", mix.String())},
 		})
+		if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// spilledTrace renders the artifact through the shard-parallel spill.
+func spilledTrace(t *testing.T, format string, shards int, stream bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sp := newSpill(format, &buf)
+	if err := runSpill(sp, shards, stream); err != nil {
+		t.Fatal(err)
 	}
 	if err := sp.Close(); err != nil {
 		t.Fatal(err)
@@ -83,17 +103,18 @@ func spilledTrace(t *testing.T, format string, shards int, stream bool) []byte {
 }
 
 // TestSpillMatchesCentral is the core gate: shard-side spill bytes equal
-// central-pipeline bytes for every (format, shard count) combination.
+// central-oracle bytes for every (format, shard count) combination.
 func TestSpillMatchesCentral(t *testing.T) {
 	for _, format := range []string{"colf", "jsonl"} {
-		want := centralTrace(t, format, 3, false)
-		if len(want) == 0 {
+		var want bytes.Buffer
+		centralTrace(t, newEncoder(format, &want), 3, false)
+		if want.Len() == 0 {
 			t.Fatalf("%s: central reference artifact is empty", format)
 		}
 		for _, shards := range []int{1, 2, 4, 7} {
-			if got := spilledTrace(t, format, shards, false); !bytes.Equal(got, want) {
+			if got := spilledTrace(t, format, shards, false); !bytes.Equal(got, want.Bytes()) {
 				t.Errorf("%s: spilled artifact at %d shards differs from central (%d vs %d bytes)",
-					format, shards, len(got), len(want))
+					format, shards, len(got), want.Len())
 			}
 		}
 	}
@@ -117,37 +138,57 @@ func TestSpillStreamMatchesExact(t *testing.T) {
 // TestSpillDefaultBlockSize covers the re-blocking degenerate case: with
 // the default 4096-record blocks, a 403-record campaign never fills one,
 // so every shard segment is pure remainder and the stitcher does all the
-// encoding — the bytes must still match the central pipeline exactly.
+// encoding — the bytes must still match the central oracle exactly.
 func TestSpillDefaultBlockSize(t *testing.T) {
-	root := obs.New()
 	var want bytes.Buffer
-	cw := colf.NewWriter(&want)
-	root.Trace().SpillTo(cw.Sink("fleet"), 64)
-	for _, mix := range fleet.AllMixes {
-		sub := obs.Sub(root)
-		mustRun(t, fleet.Config{Seed: 7, UEs: 403, Shards: 4, Mix: mix, WindowS: 60, Obs: sub})
-		root.MergeTagged(sub, obs.S("mix", mix.String()))
-	}
-	if err := root.Trace().FlushSpill(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	centralTrace(t, colf.NewWriter(&want), 4, false)
 
 	var got bytes.Buffer
 	sp := fleet.NewColfSpill(&got, "fleet")
-	for _, mix := range fleet.AllMixes {
-		mustRun(t, fleet.Config{
-			Seed: 7, UEs: 403, Shards: 4, Mix: mix, WindowS: 60,
-			Spill: sp, SpillTags: []obs.Field{obs.S("mix", mix.String())},
-		})
+	if err := runSpill(sp, 4, false); err != nil {
+		t.Fatal(err)
 	}
 	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Errorf("default-block spill differs from central (%d vs %d bytes)", got.Len(), want.Len())
+	}
+}
+
+// failAfter accepts n bytes, then fails every write with err.
+type failAfter struct {
+	n   int
+	err error
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k := f.n
+		f.n = 0
+		return k, f.err
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestSpillCloseSurfacesWriteError: a writer that fails partway must fail
+// the spill loudly, never leave a silently truncated artifact. Whether the
+// failure hits a campaign's stitch (Run returns it) or only the final
+// flush, Close returns the writer's error, in both formats.
+func TestSpillCloseSurfacesWriteError(t *testing.T) {
+	diskFull := errors.New("disk full")
+	for _, format := range []string{"colf", "jsonl"} {
+		full := len(spilledTrace(t, format, 2, false))
+		for _, n := range []int{0, full / 2, full - 1} {
+			sp := newSpill(format, &failAfter{n: n, err: diskFull})
+			if err := runSpill(sp, 2, false); err != nil && !errors.Is(err, diskFull) {
+				t.Fatalf("%s n=%d: Run() = %v, want nil or %v", format, n, err, diskFull)
+			}
+			if err := sp.Close(); !errors.Is(err, diskFull) {
+				t.Errorf("%s n=%d: Close() = %v, want %v", format, n, err, diskFull)
+			}
+		}
 	}
 }
 

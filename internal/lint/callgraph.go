@@ -291,12 +291,6 @@ func (m *Module) SpawnReachable() []*CGNode {
 	return m.reach
 }
 
-// NodeOf returns the call-graph node for a declared function, or nil.
-func (m *Module) NodeOf(fn *types.Func) *CGNode {
-	m.build()
-	return m.nodes[fn]
-}
-
 // SortsParam reports whether fn sorts its i-th parameter: its body passes
 // the parameter to sort/slices, or forwards it at a position a callee sorts
 // (transitively, cycle-safe). maporder uses this to accept the

@@ -197,41 +197,50 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestBytesIndependentOfBatching: the encoded bytes are a function of the
-// record sequence alone — Add-ing one at a time, via the Sink adapter in
-// ragged batches, or re-encoding the same sequence again all yield
-// identical artifacts. This is the property that extends the shard-count
-// byte-identity contract to colf.
+// record sequence alone — Add-ing one at a time, splicing ragged runs of
+// whole blocks pre-encoded by segment writers via WriteRawBlocks, or
+// re-encoding the same sequence again all yield identical artifacts. This
+// is the property that extends the shard-count byte-identity contract to
+// colf.
 func TestBytesIndependentOfBatching(t *testing.T) {
 	scopes, recs := testCorpus()
-	// colf scopes vary per record in this corpus; pin one scope so the
-	// Sink path (scope-fixed) is comparable.
-	for i := range scopes {
-		scopes[i] = "fleet"
-	}
-	direct := encode(t, scopes, recs, 64)
-	again := encode(t, scopes, recs, 64)
+	const blockRecs = 64
+	direct := encode(t, scopes, recs, blockRecs)
+	again := encode(t, scopes, recs, blockRecs)
 	if !bytes.Equal(direct, again) {
 		t.Fatal("re-encoding the same sequence produced different bytes")
 	}
 
 	var buf bytes.Buffer
-	w := NewWriterSize(&buf, 64)
-	sink := w.Sink("fleet")
-	for lo := 0; lo < len(recs); {
-		hi := lo + 1 + lo%13 // ragged batch sizes
-		if hi > len(recs) {
-			hi = len(recs)
+	w := NewWriterSize(&buf, blockRecs)
+	lo := 0
+	for k := 1; lo+k*blockRecs <= len(recs); k = k%3 + 1 {
+		hi := lo + k*blockRecs // ragged runs of 1-3 whole blocks
+		var seg bytes.Buffer
+		sw := NewSegmentWriter(&seg, blockRecs)
+		for i := lo; i < hi; i++ {
+			if err := sw.Add(scopes[i], recs[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := sink.WriteRecords(recs[lo:hi]); err != nil {
+		if err := sw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteRawBlocks(seg.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 		lo = hi
+	}
+	for i := lo; i < len(recs); i++ {
+		if err := w.Add(scopes[i], recs[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), direct) {
-		t.Fatal("sink batching changed the encoded bytes")
+		t.Fatal("splicing pre-encoded segments changed the encoded bytes")
 	}
 }
 

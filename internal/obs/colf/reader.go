@@ -300,25 +300,21 @@ func (r *Reader) decodeBlock(payload []byte) error {
 }
 
 // DecodeToJSON streams a colf artifact back out as JSON Lines, one object
-// per record in encoding order, rendered through the same
-// obs.AppendRecordJSON path as the direct JSONL export — so the output is
-// byte-identical to what WriteTraceJSON (or the -trace-format=jsonl path)
-// would have produced for the same record sequence.
+// per record in encoding order, through the same obs.TraceJSONWriter as
+// the direct JSONL export — so the output is byte-identical to the jsonl
+// artifact of the same record sequence.
 func DecodeToJSON(src io.Reader, dst io.Writer) error {
 	r := NewReader(src)
-	bw := bufio.NewWriter(dst)
-	var buf []byte
+	jw := obs.NewTraceJSONWriter(dst)
 	for {
 		scope, rec, err := r.Next()
 		if err == io.EOF {
-			return bw.Flush()
+			return jw.Flush()
 		}
 		if err != nil {
 			return err
 		}
-		buf = obs.AppendRecordJSON(buf[:0], scope, &rec)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
+		if err := jw.Add(scope, rec); err != nil {
 			return err
 		}
 	}

@@ -9,12 +9,12 @@ import (
 	"fivegsim/internal/obs"
 )
 
-// Writer encodes scoped trace records into colf blocks. Records buffer
-// until the block threshold and are then encoded and written, so encoder
-// memory is O(block), not O(events). The bytes produced depend only on the
-// (scope, record) sequence handed to Add — never on batch boundaries,
-// host, or timing — which is what lets the shard/worker byte-identity
-// contract extend to binary artifacts.
+// Writer is the colf obs.TraceEncoder: it encodes scoped trace records
+// into colf blocks. Records buffer until the block threshold and are then
+// encoded and written, so encoder memory is O(block), not O(events). The
+// bytes produced depend only on the (scope, record) sequence handed to Add
+// — never on host or timing — which is what lets the shard/worker
+// byte-identity contract extend to binary artifacts.
 type Writer struct {
 	bw        *bufio.Writer
 	blockRecs int
@@ -71,26 +71,6 @@ func (w *Writer) Add(scope string, r obs.Record) error {
 	}
 	return w.err
 }
-
-// WriteRecords makes a scope-fixed Writer view usable as an obs.RecordSink
-// — see Sink.
-type scopedSink struct {
-	w     *Writer
-	scope string
-}
-
-func (s scopedSink) WriteRecords(recs []obs.Record) error {
-	for i := range recs {
-		if err := s.w.Add(s.scope, recs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Sink returns an obs.RecordSink that Adds every flushed record under the
-// given scope — the adapter that plugs a colf Writer into Tracer.SpillTo.
-func (w *Writer) Sink(scope string) obs.RecordSink { return scopedSink{w: w, scope: scope} }
 
 // NewSegmentWriter returns a headerless Writer: it encodes blocks with the
 // given records-per-block threshold but never writes the stream magic, so

@@ -236,99 +236,111 @@ func TestNonFiniteJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// recordingSink captures spilled batches for the spill-contract tests.
-type recordingSink struct {
-	batches [][]Record
-	err     error
-}
-
-func (s *recordingSink) WriteRecords(recs []Record) error {
-	cp := make([]Record, len(recs))
-	copy(cp, recs)
-	s.batches = append(s.batches, cp)
-	return s.err
-}
-
-// TestSpillBoundedBuffer pins the spill contract: the buffer never exceeds
-// its capacity, batches arrive in emission order, and FlushSpill drains the
-// tail.
-func TestSpillBoundedBuffer(t *testing.T) {
-	sink := &recordingSink{}
+// TestTraceJSONWriterSplicesRawBlocks: lines rendered by separate
+// segment writers and spliced with WriteRawBlocks, mixed with direct Adds,
+// equal rendering the whole sequence in one pass — JSONL is the
+// block-size-1 case of the segment/stitch contract fleet.Spill relies on.
+func TestTraceJSONWriterSplicesRawBlocks(t *testing.T) {
 	tr := NewTracer()
-	tr.SpillTo(sink, 4)
-	for i := 0; i < 10; i++ {
-		tr.Emit(Ev(float64(i), "s", "e"))
-		if tr.Len() > 4 {
-			t.Fatalf("buffer grew to %d records past the spill cap", tr.Len())
-		}
+	for i := 0; i < 23; i++ {
+		tr.Emit(Span(float64(i), 0.5, "fleet", "session").
+			With(F("ue", float64(i))).
+			With(S("mix", "mmwave")))
 	}
-	if err := tr.FlushSpill(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Spilled() != 10 {
-		t.Fatalf("spilled = %d, want 10", tr.Spilled())
-	}
-	var got []float64
-	for _, b := range sink.batches {
-		for _, r := range b {
-			got = append(got, r.At)
-		}
-	}
-	if len(got) != 10 {
-		t.Fatalf("sink saw %d records, want 10", len(got))
-	}
-	for i, at := range got {
-		if at != float64(i) {
-			t.Fatalf("record %d arrived out of order (at=%v)", i, at)
-		}
-	}
-}
-
-// TestSpillStreamedBytesMatchBuffered: spilling through a TraceJSONWriter
-// yields byte-identical output to buffering everything and writing once.
-func TestSpillStreamedBytesMatchBuffered(t *testing.T) {
-	emit := func(tr *Tracer) {
-		for i := 0; i < 23; i++ {
-			tr.Emit(Span(float64(i), 0.5, "fleet", "session").
-				With(F("ue", float64(i))).
-				With(S("mix", "mmwave")))
-		}
-	}
-	buffered := NewTracer()
-	emit(buffered)
 	var want bytes.Buffer
-	if err := WriteTraceJSON(&want, "fleet", buffered); err != nil {
+	if err := WriteTraceJSON(&want, "fleet", tr); err != nil {
 		t.Fatal(err)
 	}
 
 	var got bytes.Buffer
-	jw := NewTraceJSONWriter(&got, "fleet")
-	streaming := NewTracer()
-	streaming.SpillTo(jw, 5)
-	emit(streaming)
-	if err := streaming.FlushSpill(); err != nil {
-		t.Fatal(err)
+	jw := NewTraceJSONWriter(&got)
+	recs := tr.Records()
+	for lo := 0; lo < len(recs); {
+		hi := min(lo+1+lo%7, len(recs)) // ragged segments
+		if lo%2 == 0 {
+			var seg bytes.Buffer
+			sw := NewTraceJSONWriter(&seg)
+			for _, r := range recs[lo:hi] {
+				if err := sw.Add("fleet", r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := jw.WriteRawBlocks(seg.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for _, r := range recs[lo:hi] {
+				if err := jw.Add("fleet", r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		lo = hi
 	}
 	if err := jw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {
-		t.Fatalf("streamed JSONL differs from buffered:\n%s\nvs\n%s", got.String(), want.String())
+		t.Fatalf("spliced JSONL differs from one-pass JSONL:\n%s\nvs\n%s", got.String(), want.String())
 	}
 }
 
-// TestSpillErrorSurfaces: a failing sink must fail FlushSpill, never
-// silently truncate the artifact.
-func TestSpillErrorSurfaces(t *testing.T) {
-	sinkErr := errors.New("disk full")
-	sink := &recordingSink{err: sinkErr}
-	tr := NewTracer()
-	tr.SpillTo(sink, 2)
-	for i := 0; i < 5; i++ {
-		tr.Emit(Ev(float64(i), "s", "e"))
+// failAfter accepts n bytes, then fails every write with err.
+type failAfter struct {
+	n   int
+	err error
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k := f.n
+		f.n = 0
+		return k, f.err
 	}
-	if err := tr.FlushSpill(); !errors.Is(err, sinkErr) {
-		t.Fatalf("FlushSpill() = %v, want %v", err, sinkErr)
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestTraceJSONWriterErrorSurfaces: a failing writer must fail the
+// encoder loudly, never truncate the artifact silently. The first error
+// is sticky across Add, WriteRawBlocks, and Flush, whether the writer
+// fails while records are still being added or only at the final Flush.
+func TestTraceJSONWriterErrorSurfaces(t *testing.T) {
+	tr := NewTracer()
+	for i := 0; i < 200; i++ {
+		tr.Emit(Ev(float64(i), "s", "e").With(F("v", float64(i))))
+	}
+	var full bytes.Buffer
+	if err := WriteTraceJSON(&full, "x", tr); err != nil {
+		t.Fatal(err)
+	}
+	diskFull := errors.New("disk full")
+	for _, tc := range []struct {
+		n       int
+		failAdd bool
+	}{{0, true}, {100, true}, {full.Len() - 1, false}} {
+		jw := NewTraceJSONWriter(&failAfter{n: tc.n, err: diskFull})
+		var addErr error
+		for _, r := range tr.Records() {
+			if addErr = jw.Add("x", r); addErr != nil {
+				break
+			}
+		}
+		if tc.failAdd != (addErr != nil) || (addErr != nil && !errors.Is(addErr, diskFull)) {
+			t.Fatalf("n=%d: Add() = %v, want failure %t with %v", tc.n, addErr, tc.failAdd, diskFull)
+		}
+		if err := jw.Flush(); !errors.Is(err, diskFull) {
+			t.Fatalf("n=%d: Flush() = %v, want %v", tc.n, err, diskFull)
+		}
+		if err := jw.WriteRawBlocks([]byte("{}\n")); !errors.Is(err, diskFull) {
+			t.Fatalf("n=%d: WriteRawBlocks after failure = %v, want %v", tc.n, err, diskFull)
+		}
+		if err := jw.Add("x", Ev(0, "s", "e")); !errors.Is(err, diskFull) {
+			t.Fatalf("n=%d: Add after failure = %v, want %v", tc.n, err, diskFull)
+		}
 	}
 }
 

@@ -104,29 +104,13 @@ func (r Record) With(f Field) Record {
 // the record's storage; treat it as read-only.
 func (r *Record) Fields() []Field { return r.fields[:r.n] }
 
-// RecordSink consumes batches of records flushed out of a spilling Tracer
-// (see Tracer.SpillTo). The batch slice is reused by the tracer after the
-// call returns; implementations must not retain it.
-type RecordSink interface {
-	WriteRecords(recs []Record) error
-}
-
 // Tracer accumulates sim-time records in emission order. A nil *Tracer is
 // the disabled tracer: Emit is an allocation-free no-op and Enabled reports
-// false, so hot paths can skip even building the Record.
-//
-// By default records accumulate in memory until rendered — O(events). For
-// campaigns where that is the long pole, SpillTo bounds the buffer: full
-// batches stream to a RecordSink (a colf block encoder, a JSONL writer) and
-// memory stays O(spill capacity) however many records are emitted.
+// false, so hot paths can skip even building the Record. Records stay in
+// memory — O(events) — until an artifact encodes them (see TraceEncoder);
+// fleet campaigns too large for that stream through fleet.Spill instead.
 type Tracer struct {
 	recs []Record
-
-	// spill state (SpillTo); nil sink means accumulate-only.
-	sink     RecordSink
-	spillCap int
-	spillErr error
-	spilled  uint64
 }
 
 // NewTracer returns an empty enabled tracer.
@@ -134,56 +118,6 @@ func NewTracer() *Tracer { return &Tracer{} }
 
 // Enabled reports whether records are being collected.
 func (t *Tracer) Enabled() bool { return t != nil }
-
-// SpillTo puts the tracer in bounded-buffer mode: whenever bufCap records
-// have accumulated they are handed to sink (in emission order) and the
-// buffer resets, so tracer memory is O(bufCap) instead of O(events).
-// Records already buffered stay buffered until the next flush boundary.
-// Callers must finish with FlushSpill, which drains the tail and surfaces
-// the first sink error. In spill mode Len/Records cover only the not-yet-
-// spilled tail. No-op on a nil tracer; bufCap < 1 is treated as 1.
-func (t *Tracer) SpillTo(sink RecordSink, bufCap int) {
-	if t == nil {
-		return
-	}
-	if bufCap < 1 {
-		bufCap = 1
-	}
-	t.sink = sink
-	t.spillCap = bufCap
-}
-
-// FlushSpill drains any buffered records to the spill sink and returns the
-// first error any spill produced. It is a no-op (and returns nil) on a nil
-// or non-spilling tracer.
-func (t *Tracer) FlushSpill() error {
-	if t == nil || t.sink == nil {
-		return nil
-	}
-	if len(t.recs) > 0 {
-		t.spill()
-	}
-	return t.spillErr
-}
-
-// Spilled returns the number of records already streamed to the spill sink.
-func (t *Tracer) Spilled() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.spilled
-}
-
-// spill hands the buffer to the sink and resets it, keeping the first
-// error (a truncated artifact must fail loudly at FlushSpill, not silently
-// drop batches).
-func (t *Tracer) spill() {
-	if err := t.sink.WriteRecords(t.recs); err != nil && t.spillErr == nil {
-		t.spillErr = err
-	}
-	t.spilled += uint64(len(t.recs))
-	t.recs = t.recs[:0]
-}
 
 // Emit appends a record. Emitting to a nil tracer is a no-op.
 //
@@ -193,13 +127,9 @@ func (t *Tracer) Emit(r Record) {
 		return
 	}
 	t.recs = append(t.recs, r)
-	if t.sink != nil && len(t.recs) >= t.spillCap {
-		t.spill()
-	}
 }
 
-// Len returns the number of buffered records (0 for a nil tracer; in spill
-// mode, only the not-yet-spilled tail).
+// Len returns the number of buffered records (0 for a nil tracer).
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
@@ -207,9 +137,8 @@ func (t *Tracer) Len() int {
 	return len(t.recs)
 }
 
-// Records returns the buffered records in emission order (in spill mode,
-// only the not-yet-spilled tail). The slice aliases the tracer's storage;
-// treat it as read-only.
+// Records returns the buffered records in emission order. The slice
+// aliases the tracer's storage; treat it as read-only.
 func (t *Tracer) Records() []Record {
 	if t == nil {
 		return nil
@@ -219,9 +148,8 @@ func (t *Tracer) Records() []Record {
 
 // AppendTagged appends every record of other (in order), each with the
 // given tags attached, preserving determinism as long as callers merge
-// sub-tracers in a deterministic order. Appends route through Emit so a
-// spilling receiver flushes at its capacity boundaries. A nil receiver or
-// source is a no-op.
+// sub-tracers in a deterministic order. A nil receiver or source is a
+// no-op.
 func (t *Tracer) AppendTagged(other *Tracer, tags ...Field) {
 	if t == nil || other == nil {
 		return

@@ -41,9 +41,10 @@ func appendFloatJSON(buf []byte, v float64) []byte {
 
 // AppendRecordJSON appends one record as a JSON object (no trailing
 // newline) to buf and returns the extended slice. It is the single
-// rendering point for trace records — WriteTraceJSON and the colf
-// decoder's JSONL export both call it, which is what makes "decoded colf"
-// and "direct JSONL" byte-identical by construction.
+// rendering point for trace records: TraceJSONWriter calls it, and the
+// colf decoder's JSONL export renders through a TraceJSONWriter, which is
+// what makes "decoded colf" and "direct JSONL" byte-identical by
+// construction.
 //
 // scope, when non-empty, renders as the leading "exp" key (the experiment
 // id in a merged battery artifact). Field kinds are explicit: a KindStr
@@ -78,6 +79,23 @@ func AppendRecordJSON(buf []byte, scope string, r *Record) []byte {
 	return append(buf, '}')
 }
 
+// TraceEncoder is the contract every trace artifact encoder meets:
+// TraceJSONWriter (JSON Lines) and colf.Writer (binary blocks). Callers
+// Add scoped records in artifact order, may splice pre-encoded output of a
+// segment encoder of the same format with WriteRawBlocks, and must Flush
+// once at the end. The first error is sticky: every later call returns it
+// and writes nothing, so a failing writer fails the artifact loudly rather
+// than truncating it silently.
+type TraceEncoder interface {
+	// Add encodes one record under scope.
+	Add(scope string, r Record) error
+	// WriteRawBlocks splices segment output verbatim. Formats with
+	// multi-record blocks require the encoder to sit on a block boundary.
+	WriteRawBlocks(raw []byte) error
+	// Flush encodes anything buffered and drains it to the writer.
+	Flush() error
+}
+
 // WriteTraceJSON writes the tracer's records as JSON Lines, one object per
 // record, in emission order:
 //
@@ -87,52 +105,58 @@ func AppendRecordJSON(buf []byte, scope string, r *Record) []byte {
 // writes nothing. The output is byte-identical for identical records,
 // independent of host or worker count.
 func WriteTraceJSON(w io.Writer, scope string, t *Tracer) error {
-	if t == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	var buf []byte
-	for i := range t.recs {
-		buf = AppendRecordJSON(buf[:0], scope, &t.recs[i])
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
+	jw := NewTraceJSONWriter(w)
+	for _, r := range t.Records() {
+		if err := jw.Add(scope, r); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return jw.Flush()
 }
 
-// TraceJSONWriter is the streaming form of WriteTraceJSON: a RecordSink
-// that renders every flushed batch as JSON Lines under one scope. Wiring
-// it into Tracer.SpillTo makes the JSONL artifact stream to disk with a
-// bounded record buffer, byte-identical to buffering everything and
-// calling WriteTraceJSON once.
+// TraceJSONWriter is the JSON Lines TraceEncoder. Every line is
+// self-contained, so its blocks are single records: a segment rendered by
+// another TraceJSONWriter splices in at any point.
 type TraceJSONWriter struct {
-	bw    *bufio.Writer
-	scope string
-	buf   []byte
+	bw  *bufio.Writer
+	buf []byte
+	err error
 }
 
-// NewTraceJSONWriter returns a streaming JSONL sink scoping every record
-// with scope. Callers must Flush when done.
-func NewTraceJSONWriter(w io.Writer, scope string) *TraceJSONWriter {
-	return &TraceJSONWriter{bw: bufio.NewWriter(w), scope: scope}
+// NewTraceJSONWriter returns a JSON Lines encoder writing to w. Callers
+// must Flush when done.
+func NewTraceJSONWriter(w io.Writer) *TraceJSONWriter {
+	return &TraceJSONWriter{bw: bufio.NewWriter(w)}
 }
 
-// WriteRecords renders one batch. Part of the RecordSink contract.
-func (j *TraceJSONWriter) WriteRecords(recs []Record) error {
-	for i := range recs {
-		j.buf = AppendRecordJSON(j.buf[:0], j.scope, &recs[i])
-		j.buf = append(j.buf, '\n')
-		if _, err := j.bw.Write(j.buf); err != nil {
-			return err
-		}
+// Add renders one record as a line.
+func (j *TraceJSONWriter) Add(scope string, r Record) error {
+	if j.err != nil {
+		return j.err
 	}
-	return nil
+	j.buf = AppendRecordJSON(j.buf[:0], scope, &r)
+	j.buf = append(j.buf, '\n')
+	_, j.err = j.bw.Write(j.buf)
+	return j.err
+}
+
+// WriteRawBlocks splices lines another TraceJSONWriter rendered.
+func (j *TraceJSONWriter) WriteRawBlocks(raw []byte) error {
+	if j.err != nil {
+		return j.err
+	}
+	_, j.err = j.bw.Write(raw)
+	return j.err
 }
 
 // Flush drains the writer's buffer to the underlying io.Writer.
-func (j *TraceJSONWriter) Flush() error { return j.bw.Flush() }
+func (j *TraceJSONWriter) Flush() error {
+	if j.err != nil {
+		return j.err
+	}
+	j.err = j.bw.Flush()
+	return j.err
+}
 
 // WriteMetricsCSV writes the registry's snapshot as CSV rows
 //

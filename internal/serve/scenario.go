@@ -29,6 +29,7 @@ import (
 	"fivegsim/internal/experiments"
 	"fivegsim/internal/fleet"
 	"fivegsim/internal/obs"
+	"fivegsim/internal/obs/colf"
 )
 
 // Artifact names which rendered output of a scenario the response carries.
@@ -58,6 +59,7 @@ type Scenario struct {
 	// `fgrepro all` battery). Battery kind only.
 	Experiments []string `json:"experiments,omitempty"`
 	// Quick selects the reduced-repeat battery (`fgrepro -quick`).
+	// Battery kind only.
 	Quick bool `json:"quick,omitempty"`
 
 	// Fleet parameterises the campaign; required for kind "fleet".
@@ -188,6 +190,9 @@ func (sc *Scenario) Validate() error {
 	case "fleet":
 		if sc.Fleet == nil {
 			return fmt.Errorf("fleet scenario requires a fleet config")
+		}
+		if sc.Quick || len(sc.Experiments) > 0 {
+			return fmt.Errorf("fleet scenario must not carry battery knobs (quick, experiments)")
 		}
 		mixes, err := sc.fleetMixes()
 		if err != nil {
@@ -351,12 +356,16 @@ func runBattery(ctx context.Context, sc *Scenario, workers int, out Outputs) (Re
 		}
 	}
 	if out.Trace != nil {
+		var enc obs.TraceEncoder
 		if sc.traceFormat() == "colf" {
-			err = experiments.WriteTraceColf(out.Trace, results)
+			enc = colf.NewWriter(out.Trace)
 		} else {
-			err = experiments.WriteTrace(out.Trace, results)
+			enc = obs.NewTraceJSONWriter(out.Trace)
 		}
-		if err != nil {
+		if err := experiments.WriteTrace(enc, results); err != nil {
+			return rep, err
+		}
+		if err := enc.Flush(); err != nil {
 			return rep, err
 		}
 	}

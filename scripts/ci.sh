@@ -143,9 +143,10 @@ fi
 
 echo "== spill determinism (shard-parallel vs central encoding) =="
 # The parallel-spill contract: per-shard segment encoding stitched in
-# shard order must write the same bytes as the serial central encoder, in
-# both formats and at several shard counts. No CLI drives the central
-# encoder; it is the test oracle, so the oracle tests are this gate.
+# shard order must write the same bytes as accumulating every record and
+# encoding once, serially, in both formats and at several shard counts. No
+# CLI drives the accumulate-then-encode oracle, so the oracle tests are
+# this gate.
 go test ./internal/fleet -run 'TestSpill' -count=1
 
 echo "== fgservd smoke (served bytes = offline CLI bytes, incl. cache replay) =="
@@ -178,16 +179,19 @@ if ! cmp -s "$tmpdir/serial.txt" "$tmpdir/served-battery.txt"; then
     exit 1
 fi
 
-# Fleet: table, trace, and metrics each equal the fgfleet artifacts from
-# the determinism gate above (ues 403, seed 7, window 60).
+# Fleet: table, trace (jsonl and colf), and metrics each equal the fgfleet
+# artifacts from the determinism gates above (ues 403, seed 7, window 60).
 fleet_body() {
     printf '{"kind":"fleet","seed":7,"artifact":"%s","fleet":{"ues":403,"window_s":60}}' "$1"
 }
 curl -sSf -X POST -d "$(fleet_body table)"   "$base/v1/run" > "$tmpdir/served-fleet.txt"
 curl -sSf -X POST -d "$(fleet_body trace)"   "$base/v1/run" > "$tmpdir/served-fleet.jsonl"
 curl -sSf -X POST -d "$(fleet_body metrics)" "$base/v1/run" > "$tmpdir/served-fleet.csv"
+curl -sSf -X POST \
+    -d '{"kind":"fleet","seed":7,"artifact":"trace","trace_format":"colf","fleet":{"ues":403,"window_s":60}}' \
+    "$base/v1/run" > "$tmpdir/served-fleet.colf"
 for pair in "fleet-1.txt served-fleet.txt" "fleet-trace-1.jsonl served-fleet.jsonl" \
-            "fleet-metrics-1.csv served-fleet.csv"; do
+            "fleet-1.colf served-fleet.colf" "fleet-metrics-1.csv served-fleet.csv"; do
     set -- $pair
     if ! cmp -s "$tmpdir/$1" "$tmpdir/$2"; then
         echo "served fleet artifact differs from offline fgfleet: $1 vs $2" >&2
