@@ -15,8 +15,8 @@ import (
 // it in its shard, and a 1e-9 coalescing epsilon folded near-simultaneous
 // arrivals together only when they shared a shard. Both showed up as
 // last-ulp differences in trace at/dur fields at seed 1 with 7 or 8
-// shards. Admission is now scheduled at absolute arrival floats, so the
-// trace must be byte-identical across seeds and shard counts.
+// shards. Each session now starts at its exact arrival float on its own
+// clock, so the trace must be byte-identical across seeds and shard counts.
 func TestAdmissionTimeShardInvariance(t *testing.T) {
 	trace := func(seed int64, shards int) string {
 		o := obs.New()

@@ -59,7 +59,7 @@ func benchShardCounts() []int {
 }
 
 // BenchmarkFleetCampaignShards is BenchmarkFleetCampaign swept over shard
-// counts: same campaign, same bytes, divided across parallel engine
+// counts: same campaign, same bytes, divided across parallel
 // shards. ues_per_s across the sweep gives the parallel scaling
 // efficiency (bench.sh derives it into BENCH_6.json).
 func BenchmarkFleetCampaignShards(b *testing.B) {
@@ -97,68 +97,22 @@ func BenchmarkFleetStreamCampaignShards(b *testing.B) {
 	}
 }
 
-// steadyShard builds a shard at fleet fan-in size, admits the whole
-// population, and steps past the warm-up so slab, freelist, calendar, and
-// per-UE transport state are all at steady state: every further Step is one
-// chunk fetch recycling pre-allocated storage.
-func steadyShard(cfg Config) *shard {
-	cfg = cfg.withDefaults()
-	dep, err := newDeployment(cfg.Mix)
-	if err != nil {
-		panic(err)
-	}
-	results := make([]UEResult, cfg.UEs)
-	sh := newShard(cfg, dep, 0, cfg.UEs, results)
-	sh.prepare()
-	for sh.next < len(sh.arrivals) {
-		if !sh.eng.Step() {
-			panic("fleet: calendar drained before all arrivals admitted")
+// TestSessionZeroAlloc pins the kernel's allocation contract: once a shard
+// is built, running its session loop over a preallocated results range
+// allocates nothing — no closure, boxed value, or growing slice per UE or
+// per chunk. Every mix runs, so the mmWave blockage path, the LTE fallback,
+// and both cascade kinds are covered.
+func TestSessionZeroAlloc(t *testing.T) {
+	const ues = 256
+	for _, mix := range AllMixes {
+		cfg := Config{Seed: 1, UEs: ues, Mix: mix}.withDefaults()
+		dep, err := newDeployment(mix)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 4*cfg.UEs; i++ {
-		sh.eng.Step()
-	}
-	return sh
-}
-
-// BenchmarkFleetSteadyStep is the per-UE stepping hot path in isolation:
-// one calendar event = one chunk fetch (channel, RRC gap, ABR, CUBIC-lite
-// ladder, energy). Sessions are effectively endless so no UE finalizes
-// during measurement. This must report 0 allocs/op — the struct-of-arrays
-// slab invariant; TestSteadyStepZeroAlloc enforces the same bound red/green.
-func BenchmarkFleetSteadyStep(b *testing.B) {
-	for _, ues := range []int{1 << 10, 1 << 13, 1 << 16} {
-		b.Run(sizeName(ues), func(b *testing.B) {
-			sh := steadyShard(Config{
-				Seed: 1, UEs: ues, WindowS: 1, SessionS: 1e8, Mix: MixMixed,
-			})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !sh.eng.Step() {
-					b.Fatal("calendar drained")
-				}
-			}
-		})
-	}
-}
-
-func sizeName(n int) string {
-	if n >= 1<<10 {
-		return strconv.Itoa(n>>10) + "Ki"
-	}
-	return strconv.Itoa(n)
-}
-
-// TestSteadyStepZeroAlloc is the red/green form of BenchmarkFleetSteadyStep:
-// steady-state stepping must not allocate. Any new per-chunk allocation in
-// the stream phase (a closure, a boxed value, a growing slice) fails here
-// before it shows up as a benchmark regression.
-func TestSteadyStepZeroAlloc(t *testing.T) {
-	sh := steadyShard(Config{
-		Seed: 1, UEs: 2048, WindowS: 1, SessionS: 1e8, Mix: MixMixed,
-	})
-	if avg := testing.AllocsPerRun(5000, func() { sh.eng.Step() }); avg != 0 {
-		t.Errorf("steady-state step allocates %.3f objects/op, want 0", avg)
+		sh := newShard(cfg, dep, make([]UEResult, ues))
+		if avg := testing.AllocsPerRun(20, func() { sh.run(0, ues) }); avg != 0 {
+			t.Errorf("%v: session loop allocates %.3f objects per %d-UE run, want 0", mix, avg, ues)
+		}
 	}
 }

@@ -1,12 +1,13 @@
-// Package fleet runs city-scale population campaigns: 100k-1M concurrent
-// UEs streaming over a shared tower deployment, partitioned across N
-// independent engine shards (default one per core).
+// Package fleet runs city-scale population campaigns: 100k-1M UEs
+// streaming over a shared tower deployment, partitioned across N
+// independent shards (default one per core).
 //
-// Each shard owns a contiguous UE id range, a private sim.Engine calendar,
-// and a struct-of-arrays session slab (see slab.go) holding every UE's RRC
-// phase, CUBIC transport state, ABR buffer state, and power accumulators in
-// parallel arrays with freelist recycling. All UEs of a shard step through
-// the one shared calendar — one engine per shard, not per UE.
+// Each shard owns a contiguous UE id range and runs it on one goroutine,
+// UE after UE in id order: a session goes straight through from arrival to
+// return to idle on its own clock, in one reused session struct holding the
+// UE's RRC phase, CUBIC transport state, ABR buffer state, and power
+// accumulators. UEs never interact, so no event calendar interleaves them;
+// a shard's memory is O(1) apart from the exact-mode results slice.
 //
 // Determinism contract: campaign output — tables, CDFs, and obs artifacts —
 // is byte-identical at any shard count, including 1. Three rules make that
@@ -14,7 +15,7 @@
 //
 //  1. Per-UE randomness derives from (campaignSeed, ueID) only (rng.go).
 //  2. UEs never interact: a session reads the shared read-only deployment,
-//     its own slab fields, and its own stream; shards write disjoint
+//     its own session state, and its own stream; shards write disjoint
 //     ranges of one results slice, indexed by global UE id.
 //  3. All aggregation happens in a serial reduce over the results slice in
 //     UE id order after every shard joins — the EvaluateWorkers /
@@ -27,7 +28,6 @@ import (
 	"sync"
 
 	"fivegsim/internal/obs"
-	"fivegsim/internal/sim"
 )
 
 // Config parameterises a campaign.
@@ -36,7 +36,7 @@ type Config struct {
 	Seed int64
 	// UEs is the population size.
 	UEs int
-	// Shards is the number of engine shards; <= 0 means GOMAXPROCS.
+	// Shards is the number of shards; <= 0 means GOMAXPROCS.
 	// Output does not depend on it.
 	Shards int
 	// Mix selects the tower deployment (see Mix).
@@ -124,7 +124,11 @@ type Result struct {
 	Cfg    Config
 	UEs    []UEResult  // indexed by UE id; nil in stream mode
 	Stream *ShardStats // merged streaming stats; nil in exact mode
-	Events uint64      // calendar events across all shards
+	// Events counts session steps across all shards: every advance of a
+	// session clock after its arrival — the chunk fetches that follow the
+	// first, tail expiries, and cascade ends. It is a pure function of the
+	// population (the same at any shard count), not of the partition.
+	Events uint64
 }
 
 // Extraction helpers for the population CDFs. Each returns a fresh slice in
@@ -192,11 +196,13 @@ func Partition(n, shards int) []Range {
 	return out
 }
 
-// Run executes a campaign: fan the population out over engine shards, join,
-// then reduce serially in UE id order. It fails before any shard starts when
-// the campaign cannot be built — a config that Validate rejects, an unknown
-// mix, or a deployment layer whose (device, band-class) pair has no measured
-// power curve.
+// Run executes a campaign: fan the population out over shards, join, then
+// reduce serially in UE id order. It fails before any shard starts when the
+// campaign cannot be built — a config that Validate rejects, an unknown
+// mix, or a deployment layer whose (device, band-class) pair has no
+// measured power curve — and after the join when a shard panicked, naming
+// the lowest failing shard; a bad campaign fails its caller, not the
+// process.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -226,32 +232,41 @@ func Run(cfg Config) (*Result, error) {
 		spillBase = cfg.Spill.base
 	}
 	events := make([]uint64, len(ranges))
+	panics := make([]error, len(ranges))
 	var wg sync.WaitGroup
 	for si, rg := range ranges {
 		wg.Add(1)
 		go func(si int, rg Range) {
 			defer wg.Done()
-			// Each shard goroutine gets its own engine and event
-			// counter; shards touch only results[rg.Lo:rg.Hi] (exact
-			// mode) or their private shardStats[si] (stream mode).
-			events[si] = sim.CountEvents(func() {
-				sh := newShard(cfg, dep, rg.Lo, rg.Hi, results)
-				if cfg.Stream {
-					sh.stats = shardStats[si]
+			defer func() {
+				if p := recover(); p != nil {
+					panics[si] = fmt.Errorf("fleet: shard %d (UEs [%d, %d)) panicked: %v", si, rg.Lo, rg.Hi, p)
 				}
-				sh.run()
-				if segs != nil {
-					// Encode this shard's slice of the trace artifact
-					// here, concurrently with the other shards, at its
-					// precomputed offset in the global record stream.
-					segs[si] = cfg.Spill.encodeSeg(
-						sh.samples(rg, every), cfg.SpillTags,
-						spillBase+sampledBelow(rg.Lo, every))
-				}
-			})
+			}()
+			// Shards touch only results[rg.Lo:rg.Hi] (exact mode) or
+			// their private shardStats[si] (stream mode).
+			sh := newShard(cfg, dep, results)
+			if cfg.Stream {
+				sh.stats = shardStats[si]
+			}
+			sh.run(rg.Lo, rg.Hi)
+			events[si] = sh.events
+			if segs != nil {
+				// Encode this shard's slice of the trace artifact here,
+				// concurrently with the other shards, at its precomputed
+				// offset in the global record stream.
+				segs[si] = cfg.Spill.encodeSeg(
+					sh.samples(rg, every), cfg.SpillTags,
+					spillBase+sampledBelow(rg.Lo, every))
+			}
 		}(si, rg)
 	}
 	wg.Wait()
+	for _, err := range panics {
+		if err != nil {
+			return nil, err
+		}
+	}
 	if segs != nil {
 		if err := cfg.Spill.stitch(segs, sampledBelow(cfg.UEs, every)); err != nil {
 			return nil, fmt.Errorf("fleet: trace spill: %w", err)
@@ -262,9 +277,10 @@ func Run(cfg Config) (*Result, error) {
 		res.Events += e
 	}
 	if cfg.Stream {
-		// Merge in shard order. The order is fixed for determinism's
-		// sake, but nothing depends on it: every merged component is
-		// order-invariant (see stream.go).
+		// Merge in shard order. Shards own ascending id ranges and observe
+		// their sessions in id order, so the merged sample list comes out
+		// sorted by UE id; every other merged component is order-invariant
+		// (see stream.go).
 		merged := newShardStats(cfg)
 		for _, st := range shardStats {
 			if err := merged.merge(st); err != nil {
@@ -318,8 +334,8 @@ func reduce(cfg Config, res *Result) {
 			tr.Emit(sessionRecord(id, &u, nil))
 		}
 	}
-	// Note: res.Events is deliberately NOT folded into obs. Event totals
-	// include per-shard admitter bookkeeping events, which legitimately
-	// vary with the partition; everything obs-visible must not.
+	// Note: res.Events is deliberately NOT folded into obs. It counts
+	// simulator work rather than anything the sessions produced, and the
+	// artifacts carry only the latter.
 	m.Add("fleet.ues", float64(len(res.UEs)))
 }

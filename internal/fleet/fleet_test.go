@@ -1,8 +1,12 @@
 package fleet
 
 import (
+	"io"
 	"math"
+	"strings"
 	"testing"
+
+	"fivegsim/internal/obs"
 )
 
 func TestPartition(t *testing.T) {
@@ -89,52 +93,29 @@ func TestRNGUniformAndNormalShape(t *testing.T) {
 	}
 }
 
-// TestSlabRecycling pins the slab's memory contract: with arrivals spread
-// over a window much longer than a session, slots are recycled through the
-// freelist and the slab tops out near peak concurrency, far below the UE
-// count.
-func TestSlabRecycling(t *testing.T) {
-	cfg := Config{Seed: 3, UEs: 600, Shards: 1, WindowS: 900, SessionS: 24}.withDefaults()
-	dep, err := newDeployment(MixLowBand)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make([]UEResult, cfg.UEs)
-	sh := newShard(cfg, dep, 0, cfg.UEs, results)
-	sh.run()
-	if got := sh.slab.len(); got >= cfg.UEs/2 {
-		t.Errorf("slab grew to %d slots for %d UEs; freelist recycling is not working", got, cfg.UEs)
-	}
-	if live := sh.slab.len() - len(sh.slab.free); live != 0 {
-		t.Errorf("%d slots still live after the shard drained", live)
-	}
-	for ue, r := range results {
-		if r.Chunks == 0 || r.DurationS <= 0 || r.EnergyJ <= 0 {
-			t.Fatalf("UE %d: incomplete result %+v", ue, r)
-		}
-	}
-}
+// panicEncoder is a segment encoder that panics on its first record.
+type panicEncoder struct{}
 
-// TestSlabSlotReuseKeepsClosure verifies a recycled slot reuses its
-// pre-allocated step closure (the 0-alloc admission invariant).
-func TestSlabSlotReuseKeepsClosure(t *testing.T) {
-	var s slab
-	// Closures capture sh and the index only; the empty deployment gives the
-	// radio cache a zero-layer stride.
-	sh := &shard{dep: &deployment{}}
-	a := s.alloc(sh)
-	b := s.alloc(sh)
-	if a == b {
-		t.Fatal("distinct allocs share a slot")
+func (panicEncoder) Add(string, obs.Record) error { panic("segment encoder failure") }
+func (panicEncoder) WriteRawBlocks([]byte) error  { return nil }
+func (panicEncoder) Flush() error                 { return nil }
+
+// TestShardPanicReturnsError is the panic-containment contract: a panic on a
+// shard goroutine (here in the shard-side spill encoder) comes back from Run
+// as an error naming the lowest failing shard, instead of killing the
+// process — a long-running service hosting campaigns fails one request,
+// not every request.
+func TestShardPanicReturnsError(t *testing.T) {
+	sp := &Spill{scope: "fleet", blockRecs: 1, enc: obs.NewTraceJSONWriter(io.Discard),
+		segment: func(io.Writer) obs.TraceEncoder { return panicEncoder{} }}
+	res, err := Run(Config{Seed: 1, UEs: 40, Shards: 3, WindowS: 30, TraceEvery: 1, Spill: sp})
+	if err == nil {
+		t.Fatalf("Run returned %+v and no error; want the shard panic as an error", res)
 	}
-	grown := s.len()
-	s.release(a)
-	c := s.alloc(sh)
-	if c != a {
-		t.Errorf("freelist did not recycle slot %d (got %d)", a, c)
-	}
-	if s.len() != grown {
-		t.Errorf("slab grew on recycled alloc: %d -> %d slots", grown, s.len())
+	for _, want := range []string{"shard 0 ", "segment encoder failure"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
 	}
 }
 

@@ -12,11 +12,13 @@ import (
 
 // campaignBytes runs one campaign per mix at the given shard count and
 // renders everything a campaign can emit — the population table, the trace
-// JSON, and the metrics CSV — as one byte string.
-func campaignBytes(t *testing.T, shards int) string {
+// JSON, and the metrics CSV — as one byte string. It also returns the
+// campaigns' total session steps (Result.Events).
+func campaignBytes(t *testing.T, shards int) (string, uint64) {
 	t.Helper()
 	root := obs.New()
 	rs := make([]*fleet.Result, 0, len(fleet.AllMixes))
+	var events uint64
 	for _, mix := range fleet.AllMixes {
 		sub := obs.Sub(root)
 		// 403 UEs: non-power-of-two and indivisible by every tested shard
@@ -29,6 +31,7 @@ func campaignBytes(t *testing.T, shards int) string {
 			WindowS: 60,
 			Obs:     sub,
 		}))
+		events += rs[len(rs)-1].Events
 		root.MergeTagged(sub, obs.S("mix", mix.String()))
 	}
 	var b bytes.Buffer
@@ -39,19 +42,23 @@ func campaignBytes(t *testing.T, shards int) string {
 	if err := obs.WriteMetricsCSV(&b, "fleet", root.Meter()); err != nil {
 		t.Fatal(err)
 	}
-	return b.String()
+	return b.String(), events
 }
 
 // TestShardCountByteIdentity is the fleet determinism contract, enforced:
 // tables and obs artifacts are byte-identical for shards in {1, 2, 4, 7}
-// with an uneven 403-UE population. Run under -race -shuffle=on in CI.
+// with an uneven 403-UE population, and so is the session step count. Run
+// under -race -shuffle=on in CI.
 func TestShardCountByteIdentity(t *testing.T) {
-	want := campaignBytes(t, 1)
+	want, wantEvents := campaignBytes(t, 1)
 	for _, shards := range []int{2, 4, 7} {
-		got := campaignBytes(t, shards)
+		got, events := campaignBytes(t, shards)
 		if got != want {
 			t.Errorf("shards=%d output diverges from serial run:\n%s",
 				shards, firstDiff(want, got))
+		}
+		if events != wantEvents {
+			t.Errorf("shards=%d: Events = %d, serial run %d", shards, events, wantEvents)
 		}
 	}
 }

@@ -126,7 +126,7 @@ func TestSpillMatchesCentral(t *testing.T) {
 func TestSpillStreamMatchesExact(t *testing.T) {
 	for _, format := range []string{"colf", "jsonl"} {
 		want := spilledTrace(t, format, 3, false)
-		for _, shards := range []int{1, 4} {
+		for _, shards := range []int{1, 2, 4, 7} {
 			if got := spilledTrace(t, format, shards, true); !bytes.Equal(got, want) {
 				t.Errorf("%s: stream-mode spill at %d shards differs from exact (%d vs %d bytes)",
 					format, shards, len(got), len(want))

@@ -22,10 +22,11 @@ import (
 //   - population quantiles come from bottom-k hash-priority sketches
 //     (stats.Sketch) keyed by UE id — the kept sample is a property of
 //     the population set, not of the shard layout or merge order;
-//   - sampled per-session trace records carry their UE id and are sorted
-//     by it before emission, which also makes the stream-mode trace
-//     artifact byte-identical to the exact-mode one (the sampled UEs and
-//     their UEResult values are the same in both modes).
+//   - sampled per-session trace records come out in UE id order without a
+//     sort: each shard finalizes its sessions in id order and the shards,
+//     owning ascending id ranges, merge in shard order. That also makes the
+//     stream-mode trace artifact byte-identical to the exact-mode one (the
+//     sampled UEs and their UEResult values are the same in both modes).
 
 // DefaultSketchK is the per-metric sketch size when Config.SketchK is 0:
 // large enough that campaigns up to a few thousand UEs keep every session
@@ -161,8 +162,9 @@ func (st *ShardStats) observe(ue int, u UEResult) {
 }
 
 // merge folds another shard's stats in. Merge order cannot change the
-// result: every component is either integer arithmetic or a set-semantics
-// sketch, and the sampled list is sorted before use.
+// counters or sketches: every one is either integer arithmetic or a
+// set-semantics sketch. The sampled list is concatenated, so merging in
+// shard order keeps it sorted by UE id.
 func (st *ShardStats) merge(o *ShardStats) error {
 	st.tput.merge(&o.tput)
 	st.qoe.merge(&o.qoe)
@@ -252,7 +254,6 @@ func streamReduce(cfg Config, res *Result) {
 	m.Add("fleet.stall_s_total", fromNano(st.stallNano))
 	if cfg.Spill == nil {
 		// With a Spill the sampled records were already encoded shard-side.
-		sort.Slice(st.sampled, func(a, b int) bool { return st.sampled[a].ue < st.sampled[b].ue })
 		tr := cfg.Obs.Trace()
 		for _, s := range st.sampled {
 			tr.Emit(sessionRecord(s.ue, &s.u, nil))

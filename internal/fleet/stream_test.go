@@ -62,7 +62,9 @@ func TestStreamShardCountByteIdentity(t *testing.T) {
 
 // TestStreamTraceMatchesExact: the sampled-session trace artifact must be
 // byte-identical between stream and exact mode — same sampled UE set,
-// same UEResult values, same UE-id emission order.
+// same UEResult values, same UE-id emission order. Stream mode gets that
+// order without sorting, from id-order sessions and shard-order merges, so
+// several shard counts are checked.
 func TestStreamTraceMatchesExact(t *testing.T) {
 	trace := func(stream bool, shards int) string {
 		o := obs.New()
@@ -77,7 +79,7 @@ func TestStreamTraceMatchesExact(t *testing.T) {
 		return b.String()
 	}
 	want := trace(false, 1)
-	for _, shards := range []int{1, 4} {
+	for _, shards := range []int{1, 2, 4, 7} {
 		if got := trace(true, shards); got != want {
 			t.Errorf("stream trace (shards=%d) differs from exact trace:\n%s",
 				shards, firstDiff(want, got))

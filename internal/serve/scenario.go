@@ -1,7 +1,7 @@
 // Package serve turns the deterministic simulation library into a
 // long-running scenario service: an HTTP daemon (stdlib net/http only) that
 // accepts scenario configs as JSON, schedules them on the existing worker
-// machinery (experiments.RunManyCtx's LPT pool for batteries, fleet's engine
+// machinery (experiments.RunManyCtx's LPT pool for batteries, fleet's
 // shards for campaigns), and streams the requested artifact — rendered
 // tables, obs trace JSONL or colf bytes, metrics CSV — back in chunks as it
 // is produced.

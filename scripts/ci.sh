@@ -51,10 +51,11 @@ go test -race -shuffle=on -count=1 ./...
 
 echo "== golden artifacts (chunk-kernel bit-identity) =="
 # The pinned fleet artifacts: any perf work on the chunk kernel (radio
-# cache, power hoisting, download ladder, calendar) must leave campaign
+# cache, power hoisting, download ladder, session loop) must leave campaign
 # bytes untouched. A legitimate physics change regenerates the goldens
 # with -update and reviews the diff; this gate makes that step explicit.
-go test ./internal/fleet -run 'TestGoldenArtifacts' -count=1
+# TestSessionZeroAlloc pins the session loop at 0 allocations.
+go test ./internal/fleet -run 'TestGoldenArtifacts|TestSessionZeroAlloc' -count=1
 
 echo "== battery determinism (serial vs parallel) =="
 # The whole-campaign contract: rendered tables are byte-identical for any
