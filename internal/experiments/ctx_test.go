@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -48,5 +49,27 @@ func TestRunManyCtxCanceled(t *testing.T) {
 func TestRunManyCtxUnknownID(t *testing.T) {
 	if _, err := RunManyCtx(context.Background(), Config{Seed: 1}, []string{"nope"}, 1); err == nil {
 		t.Fatal("unknown id accepted")
+	}
+}
+
+// TestRunManyCtxRecoversPanics: a panicking experiment fails the battery
+// with an error naming it instead of crashing the process, and with two
+// panicking experiments the error names the first in ids order at every
+// worker count, so it does not depend on the schedule.
+func TestRunManyCtxRecoversPanics(t *testing.T) {
+	boom := func(Config) []*Table { panic("boom") }
+	for _, id := range []string{"test-panic-a", "test-panic-b"} {
+		registry[id] = boom
+		defer delete(registry, id)
+	}
+	ids := []string{"table7", "test-panic-b", "fig2", "test-panic-a"}
+	for _, workers := range []int{1, 2, 4} {
+		results, err := RunManyCtx(context.Background(), Config{Seed: 1, Quick: true}, ids, workers)
+		if err == nil || !strings.Contains(err.Error(), "test-panic-b panicked: boom") {
+			t.Fatalf("workers=%d: error = %v, want one naming test-panic-b", workers, err)
+		}
+		if results != nil {
+			t.Fatalf("workers=%d: results = %d entries, want nil after a panic", workers, len(results))
+		}
 	}
 }

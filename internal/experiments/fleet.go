@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"fivegsim/internal/fleet"
 	"fivegsim/internal/obs"
@@ -45,20 +48,42 @@ func fleetExp(cfg Config) []*Table {
 // FleetTable renders campaign results as population CDF rows (one row per
 // mix and metric). Shared by the battery experiment, cmd/fgfleet, and the
 // byte-identity tests, so "the table" means the same bytes everywhere.
+//
+// Each row sorts one full per-UE column, so the rows are built on a pool of
+// at most GOMAXPROCS goroutines and added in the fixed mix-then-metric
+// order. A row's cells depend only on its own column, so the table's bytes
+// do not depend on the schedule, and at most one column extract per worker
+// is live at a time.
 func FleetTable(rs []*fleet.Result) *Table {
 	t := &Table{
 		ID:     "fleet",
 		Title:  "City-scale population campaign: QoE/power/throughput CDFs by band mix",
 		Header: []string{"mix", "metric", "p5", "p25", "p50", "p75", "p95", "mean"},
 	}
+	type column struct {
+		mix, metric string
+		extract     func() []float64
+	}
+	var cols []column
 	for _, r := range rs {
 		mix := r.Cfg.Mix.String()
-		addCDFRow(t, mix, "tput Mbps", r.ThroughputsMbps())
-		addCDFRow(t, mix, "QoE/chunk", r.QoEs())
-		addCDFRow(t, mix, "energy J", r.EnergiesJ())
-		addCDFRow(t, mix, "stall s", r.StallsS())
+		cols = append(cols,
+			column{mix, "tput Mbps", r.ThroughputsMbps},
+			column{mix, "QoE/chunk", r.QoEs},
+			column{mix, "energy J", r.EnergiesJ},
+			column{mix, "stall s", r.StallsS})
+	}
+	rows := make([][]string, len(cols))
+	forEachIndex(len(cols), func(i int) {
+		c := cols[i]
+		rows[i] = cdfRow(c.mix, c.metric, c.extract())
+	})
+	for _, row := range rows {
+		t.AddRow(row...)
+	}
+	for _, r := range rs {
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: %d UEs, %s of chunks on NR",
-			mix, len(r.UEs), pct(100*r.NRShare())))
+			r.Cfg.Mix.String(), len(r.UEs), pct(100*r.NRShare())))
 	}
 	return t
 }
@@ -103,13 +128,47 @@ func streamMetricLabel(name string) string {
 	return name
 }
 
-func addCDFRow(t *Table, mix, metric string, xs []float64) {
+// cdfRow renders one population CDF row: the column's percentiles and
+// mean. It sorts xs in place.
+func cdfRow(mix, metric string, xs []float64) []string {
 	sorted := stats.SortN(mustFinite("fleet "+mix+" "+metric, xs))
-	t.AddRow(mix, metric,
+	return []string{mix, metric,
 		f1(stats.PercentileSorted(sorted, 5)),
 		f1(stats.PercentileSorted(sorted, 25)),
 		f1(stats.PercentileSorted(sorted, 50)),
 		f1(stats.PercentileSorted(sorted, 75)),
 		f1(stats.PercentileSorted(sorted, 95)),
-		f1(stats.Mean(sorted)))
+		f1(stats.Mean(sorted))}
+}
+
+// forEachIndex calls f(i) for every i in [0, n) on at most GOMAXPROCS
+// goroutines and returns once all calls have. A panic in any call is
+// re-raised on the caller's goroutine after the join, the lowest index's
+// first, so a failing call fails its caller as it would in a serial loop.
+func forEachIndex(n int, f func(i int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	panics := make([]any, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				func() {
+					defer func() { panics[i] = recover() }()
+					f(i)
+				}()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }

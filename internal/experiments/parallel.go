@@ -61,6 +61,12 @@ func RunMany(cfg Config, ids []string, workers int) ([]Result, error) {
 // mid-experiment to interrupt safely) and RunManyCtx returns ctx's error
 // with nil results. A nil error guarantees every requested experiment ran,
 // so partial batteries can never masquerade as complete ones.
+//
+// A panicking experiment fails the battery, not the process: its worker
+// recovers and moves on, and after the join RunManyCtx returns an error
+// naming the first panicking experiment in ids order, with nil results.
+// Every experiment still runs, so which one is named does not depend on
+// the schedule.
 func RunManyCtx(ctx context.Context, cfg Config, ids []string, workers int) ([]Result, error) {
 	fns := make([]Func, len(ids))
 	for i, id := range ids {
@@ -78,6 +84,7 @@ func RunManyCtx(ctx context.Context, cfg Config, ids []string, workers int) ([]R
 		workers = len(ids)
 	}
 	results := make([]Result, len(ids))
+	panics := make([]error, len(ids))
 	order := scheduleOrder(ids)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -94,39 +101,55 @@ func RunManyCtx(ctx context.Context, cfg Config, ids []string, workers int) ([]R
 					return
 				}
 				i := order[k]
-				// Collection is per experiment: workers must never share a
-				// collector, and a per-experiment registry lets artifacts
-				// concatenate in id order whatever the schedule was.
-				cfgI := cfg
-				if cfg.Obs != nil {
-					cfgI.Obs = obs.New()
-				}
-				start := time.Now() //fgvet:allow walltime worker wall-clock stats for LPT scheduling, never sim time
-				var tables []*Table
-				events := sim.CountEvents(func() { tables = fns[i](cfgI) })
-				cfgI.Obs.Meter().Add("experiment.events", float64(events))
-				results[i] = Result{
-					ID:     ids[i],
-					Tables: tables,
-					Wall:   time.Since(start), //fgvet:allow walltime worker wall-clock stats for LPT scheduling, never sim time
-					Events: events,
-					Obs:    cfgI.Obs,
-				}
+				results[i], panics[i] = runOne(cfg, ids[i], fns[i])
 			}
 		}()
 	}
 	wg.Wait()
+	for _, err := range panics {
+		if err != nil {
+			return nil, err
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("experiments: battery canceled: %w", err)
 	}
 	return results, nil
 }
 
+// runOne runs one experiment on the calling worker, recovering a panic
+// into an error that names the experiment.
+func runOne(cfg Config, id string, f Func) (res Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("experiments: %s panicked: %v", id, p)
+		}
+	}()
+	// Collection is per experiment: workers must never share a collector,
+	// and a per-experiment registry lets artifacts concatenate in id order
+	// whatever the schedule was.
+	if cfg.Obs != nil {
+		cfg.Obs = obs.New()
+	}
+	start := time.Now() //fgvet:allow walltime worker wall-clock stats for LPT scheduling, never sim time
+	var tables []*Table
+	events := sim.CountEvents(func() { tables = f(cfg) })
+	cfg.Obs.Meter().Add("experiment.events", float64(events))
+	return Result{
+		ID:     id,
+		Tables: tables,
+		Wall:   time.Since(start), //fgvet:allow walltime worker wall-clock stats for LPT scheduling, never sim time
+		Events: events,
+		Obs:    cfg.Obs,
+	}, nil
+}
+
 // expectedWallMs is the static longest-processing-time weight table seeded
-// from a recorded full-battery run (scripts/bench.sh). The values only need
-// to rank the experiments, not predict them: dispatching the long poles
-// first keeps the last worker from starting a 700 ms experiment when every
-// other worker has already drained its queue.
+// from the per-experiment benchmark times recorded in BENCH_*.json (frozen
+// history, no longer regenerated). The values only need to rank the
+// experiments, not predict them: dispatching the long poles first keeps the
+// last worker from starting a 700 ms experiment when every other worker has
+// already drained its queue.
 var expectedWallMs = map[string]float64{
 	"fleet":                     1400,
 	"fig18a":                    763,

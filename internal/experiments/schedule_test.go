@@ -43,7 +43,7 @@ func TestScheduleWeightsCoverRegistry(t *testing.T) {
 			// Not in the recorded battery run (composite/alias entries).
 			case "all":
 			default:
-				t.Errorf("experiment %q has no expectedWallMs entry (add one from scripts/bench.sh output)", id)
+				t.Errorf("experiment %q has no expectedWallMs entry (add one from the experiment's Result.Wall in a full-mode RunMany)", id)
 			}
 		}
 	}

@@ -60,8 +60,8 @@ func benchShardCounts() []int {
 
 // BenchmarkFleetCampaignShards is BenchmarkFleetCampaign swept over shard
 // counts: same campaign, same bytes, divided across parallel
-// shards. ues_per_s across the sweep gives the parallel scaling
-// efficiency (bench.sh derives it into BENCH_6.json).
+// shards. UEs/s across the sweep gives the parallel scaling efficiency
+// of the campaign kernel.
 func BenchmarkFleetCampaignShards(b *testing.B) {
 	const ues = 8192
 	for _, shards := range benchShardCounts() {

@@ -320,6 +320,7 @@ func reduce(cfg Config, res *Result) {
 	energyH := m.Hist("fleet.energy_j", energyBounds)
 	stallH := m.Hist("fleet.stall_s", stallBounds)
 	every := traceStride(len(res.UEs), cfg.TraceEvery)
+	var rec obs.Record
 	for id, u := range res.UEs {
 		tputH.Observe(u.MeanMbps)
 		qoeH.Observe(u.QoE)
@@ -331,7 +332,8 @@ func reduce(cfg Config, res *Result) {
 		// With a Spill the sampled records reach the artifact through the
 		// shard-parallel path instead of the tracer.
 		if cfg.Spill == nil && id%every == 0 {
-			tr.Emit(sessionRecord(id, &u, nil))
+			sessionRecord(&rec, id, &u, nil)
+			tr.Emit(rec)
 		}
 	}
 	// Note: res.Events is deliberately NOT folded into obs. It counts

@@ -429,15 +429,22 @@ func (sh *shard) download(la *layer, capMbps, sizeMb, start float64) float64 {
 			rate = capMbps
 			perRTT = capPerRTT
 		}
-		// Once the flow leaves slow start and cwnd sits exactly at the BDP
-		// cap, every further window update reproduces the same state: a
-		// cubic target above cwnd clamps back to bdpCap, a target below
-		// leaves cwnd as is, and cwnd == bdpCap after both clamps implies
-		// bdpCap >= 2, so both clamps are no-ops too. The window, per-RTT
-		// volume, and rate are then loop-invariant and the rest of the
-		// transfer drains in a tight subtract/add loop — bit-identical to
-		// walking the full update, because every skipped update is a no-op.
-		if !slow && cwnd == bdpCap {
+		// Once cwnd sits exactly at the BDP cap, the window update below is
+		// a fixed point on both of its branches:
+		//   - congestion avoidance (!slow): a cubic target above cwnd clamps
+		//     back to bdpCap, and a target at or below it leaves cwnd as is;
+		//   - slow start (slow && cwnd < ssth): cwnd doubles above bdpCap and
+		//     the clamp restores bdpCap; slow and ssth are untouched, so the
+		//     next window takes the same branch.
+		// cwnd >= 2 holds at every entry (it starts at 10 and every update
+		// floors it at 2), so cwnd == bdpCap implies bdpCap >= 2 and the
+		// floor is a no-op as well. The window, per-RTT volume, and rate are
+		// then loop-invariant and the rest of the transfer drains in a
+		// tight subtract/add loop — bit-identical to walking the full
+		// update, because every skipped update is a no-op. At the cap, the
+		// one window this test leaves to the walk is slow start reaching
+		// ssth, which clears slow.
+		if cwnd == bdpCap && (!slow || cwnd < ssth) {
 			for ; iter < maxRTTIters && remaining > perRTT; iter++ {
 				remaining -= perRTT
 				t += rtt

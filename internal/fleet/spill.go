@@ -74,19 +74,19 @@ func NewJSONLSpill(w io.Writer, scope string) *Spill {
 // exactly once; the underlying writer is not closed.
 func (sp *Spill) Close() error { return sp.enc.Flush() }
 
-// sessionRecord renders one sampled session as the fleet trace record,
-// with any artifact tags appended after the session fields — the same
-// field order the Obs path produces via reduce plus MergeTagged.
-func sessionRecord(ue int, u *UEResult, tags []obs.Field) obs.Record {
-	r := obs.Span(u.ArrivalS, u.DurationS, "fleet", "session").
-		With(obs.F("ue", float64(ue))).
-		With(obs.F("mbps", u.MeanMbps)).
-		With(obs.F("qoe", u.QoE)).
-		With(obs.F("energy_j", u.EnergyJ))
+// sessionRecord renders one sampled session into r as the fleet trace
+// record, with any artifact tags appended after the session fields — the
+// same field order the Obs path produces via reduce plus MergeTagged. The
+// record is built in place: a With chain would copy it once per field.
+func sessionRecord(r *obs.Record, ue int, u *UEResult, tags []obs.Field) {
+	*r = obs.Span(u.ArrivalS, u.DurationS, "fleet", "session")
+	r.Append(obs.F("ue", float64(ue)))
+	r.Append(obs.F("mbps", u.MeanMbps))
+	r.Append(obs.F("qoe", u.QoE))
+	r.Append(obs.F("energy_j", u.EnergyJ))
 	for _, tag := range tags {
-		r = r.With(tag)
+		r.Append(tag)
 	}
-	return r
 }
 
 // traceStride resolves Config.TraceEvery: an explicit stride wins, else
@@ -113,7 +113,7 @@ func (sh *shard) samples(rg Range, every int) []sessionSample {
 		return sh.stats.sampled
 	}
 	first := rg.Lo + (every-rg.Lo%every)%every // first sampled id >= Lo
-	var out []sessionSample
+	out := make([]sessionSample, 0, sampledBelow(rg.Hi, every)-sampledBelow(rg.Lo, every))
 	for ue := first; ue < rg.Hi; ue += every {
 		out = append(out, sessionSample{ue: ue, u: sh.results[ue]})
 	}
@@ -142,23 +142,25 @@ func (sp *Spill) encodeSeg(samples []sessionSample, tags []obs.Field, gstart uin
 	b := uint64(sp.blockRecs)
 	lo := (gstart + b - 1) / b * b // first aligned block boundary >= gstart
 	hi := (gstart + n) / b * b     // last aligned block boundary <= gstart+n
-	rec := func(i uint64) obs.Record {
-		return sessionRecord(samples[i].ue, &samples[i].u, tags)
+	var r obs.Record
+	rec := func(i uint64) *obs.Record {
+		sessionRecord(&r, samples[i].ue, &samples[i].u, tags)
+		return &r
 	}
 	if lo >= hi {
 		// The slice contains no whole block; everything is remainder.
 		for i := uint64(0); i < n; i++ {
-			seg.head = append(seg.head, rec(i))
+			seg.head = append(seg.head, *rec(i))
 		}
 		return seg
 	}
 	for g := gstart; g < lo; g++ {
-		seg.head = append(seg.head, rec(g-gstart))
+		seg.head = append(seg.head, *rec(g - gstart))
 	}
 	var buf bytes.Buffer
 	sw := sp.segment(&buf)
 	for g := lo; g < hi; g++ {
-		if err := sw.Add(sp.scope, rec(g-gstart)); err != nil {
+		if err := sw.Add(sp.scope, *rec(g - gstart)); err != nil {
 			// Unreachable: the segment encoder targets an in-memory
 			// buffer, which cannot fail. Fail loudly rather than drop
 			// trace records.
@@ -170,7 +172,7 @@ func (sp *Spill) encodeSeg(samples []sessionSample, tags []obs.Field, gstart uin
 	}
 	seg.blocks = buf.Bytes()
 	for g := hi; g < gstart+n; g++ {
-		seg.tail = append(seg.tail, rec(g-gstart))
+		seg.tail = append(seg.tail, *rec(g - gstart))
 	}
 	return seg
 }

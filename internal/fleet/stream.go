@@ -255,8 +255,10 @@ func streamReduce(cfg Config, res *Result) {
 	if cfg.Spill == nil {
 		// With a Spill the sampled records were already encoded shard-side.
 		tr := cfg.Obs.Trace()
+		var rec obs.Record
 		for _, s := range st.sampled {
-			tr.Emit(sessionRecord(s.ue, &s.u, nil))
+			sessionRecord(&rec, s.ue, &s.u, nil)
+			tr.Emit(rec)
 		}
 	}
 	m.Add("fleet.ues", float64(st.ues))

@@ -29,6 +29,7 @@ var noallocPins = []string{
 	"fivegsim/internal/obs.Histogram.Observe",
 	"fivegsim/internal/obs.Metrics.Add",
 	"fivegsim/internal/obs.Metrics.Inc",
+	"fivegsim/internal/obs.Record.Append",
 	"fivegsim/internal/obs.Record.With",
 	"fivegsim/internal/obs.S",
 	"fivegsim/internal/obs.Span",

@@ -85,7 +85,7 @@ func jsonlBytes(scopes []string, recs []obs.Record) int {
 }
 
 // BenchmarkColfEncode prices the encoder on the battery-shaped corpus and
-// reports the artifact economics bench.sh records in BENCH_5.json:
+// reports the artifact economics (BENCH_5.json holds one frozen recording):
 // bytes/event of the binary artifact, encode throughput in MB/s (of
 // emitted colf bytes), and how many times smaller colf is than the JSONL
 // of the same records.

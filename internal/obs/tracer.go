@@ -87,17 +87,26 @@ func Span(at, dur float64, sub, name string) Record {
 	return Record{At: at, Dur: dur, Sub: sub, Name: name}
 }
 
-// With returns the record with f appended. Fields beyond the fixed capacity
-// are dropped silently; subsystems emit few enough that this only bounds
-// pathological tag stacking.
+// With returns the record with f appended (see Append).
 //
 //fgvet:noalloc
 func (r Record) With(f Field) Record {
+	r.Append(f)
+	return r
+}
+
+// Append appends f to the record in place. Fields beyond the fixed capacity
+// are dropped silently; subsystems emit few enough that this only bounds
+// pathological tag stacking. A Record is several hundred bytes, so a hot
+// path that attaches many fields builds it with Append rather than copying
+// it through a With chain.
+//
+//fgvet:noalloc
+func (r *Record) Append(f Field) {
 	if r.n < maxFields {
 		r.fields[r.n] = f
 		r.n++
 	}
-	return r
 }
 
 // Fields returns the record's fields in emission order. The slice aliases

@@ -12,7 +12,7 @@
 #   BENCH       benchmark regexp to profile (default BenchmarkFleetCampaign$)
 #   BENCHTIME   go test -benchtime value (default 3s: enough samples for a
 #               stable line-level profile of the 8192-UE single-shard
-#               campaign, 36-43 ms/op on a 2-vCPU Xeon with Go 1.24)
+#               campaign, 37-39 ms/op on a 2-vCPU Xeon with Go 1.24)
 #
 # Inspect interactively with:
 #   go tool pprof profiles/fleet.test profiles/cpu.pprof
